@@ -12,8 +12,8 @@
 //! * [`runner`] — every program through three backends: single-device
 //!   [`Device::attest`](asap::Device::attest), a loopback
 //!   [`FleetVerifier`](asap_fleet::FleetVerifier) round, and a
-//!   socket-backed [`FleetGateway`](asap_fleet::FleetGateway) round —
-//!   with per-program failure isolation;
+//!   socket-backed [`FleetRuntime`](asap_fleet::FleetRuntime) round
+//!   (the `gateway` backend) — with per-program failure isolation;
 //! * [`generator`] — a seeded, deterministic generator of
 //!   valid-by-construction MSP430 programs whose verdicts are computed
 //!   from the recipe, never observed from a run.

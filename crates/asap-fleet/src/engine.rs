@@ -16,10 +16,9 @@
 //!
 //! * lock-step in-memory delivery ([`FleetVerifier::run_round`] over
 //!   [`Loopback`](crate::Loopback));
-//! * a real socket with read timeouts
-//!   ([`drive_round`](crate::stream::drive_round) over
-//!   [`StreamTransport`](crate::StreamTransport)), where each timeout
-//!   becomes one `tick`;
+//! * real sockets ([`FleetRuntime`](crate::FleetRuntime)), whose
+//!   reactors tick each in-flight engine to the elapsed wall-clock
+//!   milliseconds on every sweep;
 //! * a scripted event schedule (the scenario harness in `asap-bench`),
 //!   where late and out-of-order deliveries are just events at chosen
 //!   ticks.
@@ -357,11 +356,6 @@ impl<'a> RoundEngine<'a> {
             self.charge_evicted(id);
         }
         gone.len()
-    }
-
-    /// The fleet registry this round runs against.
-    pub fn fleet(&self) -> &'a FleetVerifier {
-        self.fleet
     }
 
     /// The deadline in force for one awaited device: its override, or

@@ -41,6 +41,10 @@ pub enum FleetError {
     /// inner error is the per-session verdict (`BadMac`, `Wire`,
     /// `NotExecuted`, …).
     Rejected(AsapError),
+    /// A [`FleetRuntime`](crate::FleetRuntime) was asked for the report
+    /// of a round ticket it never issued (or whose report was already
+    /// taken). Tickets number rounds, not devices.
+    UnknownTicket(u64),
 }
 
 impl FleetError {
@@ -69,6 +73,12 @@ impl fmt::Display for FleetError {
             }
             FleetError::Frame(e) => write!(f, "unattributable frame: {e}"),
             FleetError::Rejected(e) => write!(f, "evidence rejected: {e}"),
+            FleetError::UnknownTicket(ticket) => {
+                write!(
+                    f,
+                    "round ticket {ticket} is unknown (never issued or already taken)"
+                )
+            }
         }
     }
 }

@@ -1,68 +1,27 @@
-//! The multi-peer gateway: one verifier endpoint, many concurrent
-//! prover connections, one sans-IO [`RoundEngine`] judging them all.
+//! The connection layer under [`FleetRuntime`](crate::FleetRuntime):
+//! the non-blocking socket traits every prover connection and listener
+//! implements, and the per-connection receive/transmit state the
+//! reactors service.
 //!
-//! [`drive_round`](crate::stream::drive_round) serializes a whole
-//! round through a single [`StreamTransport`](crate::StreamTransport)
-//! — fine for one prover host, wrong for a fleet whose devices dial in
-//! independently and answer whenever their real-time workloads allow.
-//! [`FleetGateway`] is the missing layer: a std-only, non-blocking
-//! readiness loop that owns a listening socket plus every accepted
-//! connection, each with its own [`StreamDeframer`] and bounded
-//! [`WriteQueue`]. Devices are **not pinned to a transport**: the
-//! gateway learns which connection a device is behind from the frames
-//! the device sends (see *routing* below), and delivers that device's
-//! challenges there — so a prover host may carry one device or a
-//! thousand, and may connect before or after the round begins.
-//!
-//! # Routing and hellos
-//!
-//! Every inbound [`Envelope`] names a device id, and the gateway
-//! remembers "frames from device *d* arrived on connection *c*" (last
-//! arrival wins). An envelope with an **empty payload** is a *hello*:
-//! pure routing information, recorded and never judged —
-//! [`announce_devices`](crate::stream::announce_devices) sends one per
-//! hosted device right after connecting. Challenges for devices with no
-//! known connection are parked until a hello (or any frame) reveals
-//! one; a device that never connects simply expires at its deadline.
-//!
-//! # Lifecycle and failure
-//!
-//! Connections are serviced strictly without blocking: a partial write
-//! leaves bytes in the connection's [`WriteQueue`] (`WouldBlock` is
-//! backpressure, never a wedged loop), and a connection that hangs up,
-//! breaks, overflows its write queue, floods the route map past
-//! [`MAX_ROUTED_PER_CONN`], or poisons its deframer with an oversized
-//! frame is dropped — every device whose challenge was *delivered* on
-//! it and still owes this round a response is charged
-//! [`FleetError::NoResponse`](crate::FleetError::NoResponse) on the
-//! spot, because its path to the verifier is gone. Charging keys on
-//! the delivery record rather than the (hello-controlled, last-wins)
-//! route map, so a connection cannot falsify the verdict of a device
-//! it never carried by announcing that device's id and hanging up.
-//!
-//! Wall-clock budgets map onto engine ticks exactly as in
-//! [`drive_round`](crate::stream::drive_round): the clock lives in the
-//! driver, the engine only ever sees [`LogicalTime`].
+//! [`GatewayConn`] is implemented for TCP and Unix-domain streams,
+//! [`GatewayListener`] for their listeners, and [`NoListener`] stands
+//! in when every connection is adopted by hand (socketpair fabrics in
+//! tests and benches). The routing, hello and hangup rules that give
+//! these connections their verdict semantics are documented on the
+//! [runtime module](crate::runtime).
 
-use crate::engine::{LogicalTime, RoundConfig, RoundEngine};
-use crate::error::FleetError;
-use crate::registry::FleetVerifier;
-use crate::round::RoundReport;
-use crate::stream::{pump_read, ReadPump, WritePump, WriteQueue};
-use crate::DeviceId;
-use apex_pox::wire::{frame_stream, Envelope, StreamDeframer};
-use std::collections::HashMap;
+use crate::stream::WriteQueue;
+use apex_pox::wire::StreamDeframer;
 use std::io::{self, ErrorKind, Read, Write};
 use std::marker::PhantomData;
 use std::net::{TcpListener, TcpStream};
-use std::time::{Duration, Instant};
 
-/// A peer byte stream the gateway can service without ever blocking on
+/// A peer byte stream a reactor can service without ever blocking on
 /// it.
 pub trait GatewayConn: Read + Write {
     /// Puts the stream into non-blocking mode (and applies any
     /// transport-specific tuning, like `TCP_NODELAY`). Called once when
-    /// the connection enters the gateway.
+    /// the connection enters the runtime.
     ///
     /// # Errors
     ///
@@ -86,13 +45,13 @@ impl GatewayConn for std::os::unix::net::UnixStream {
     }
 }
 
-/// A listening socket the gateway can poll without blocking.
+/// A listening socket the runtime can poll without blocking.
 pub trait GatewayListener {
     /// The accepted connection type.
     type Conn: GatewayConn;
 
     /// Puts the listener into non-blocking mode. Called once when the
-    /// gateway takes ownership.
+    /// runtime takes ownership.
     ///
     /// # Errors
     ///
@@ -145,8 +104,9 @@ impl GatewayListener for std::os::unix::net::UnixListener {
     }
 }
 
-/// The "nobody ever dials in" listener, for gateways fed purely through
-/// [`FleetGateway::adopt`] — socketpair fabrics in tests and benches.
+/// The "nobody ever dials in" listener, for runtimes fed purely through
+/// [`FleetRuntime::adopt`](crate::FleetRuntime::adopt) — socketpair
+/// fabrics in tests and benches.
 pub struct NoListener<C>(PhantomData<C>);
 
 impl<C: GatewayConn> GatewayListener for NoListener<C> {
@@ -162,9 +122,8 @@ impl<C: GatewayConn> GatewayListener for NoListener<C> {
 }
 
 /// One accepted prover connection: its stream, receive framing state,
-/// and bounded transmit queue. Shared with the multi-reactor gateway
-/// ([`crate::reactor`]), whose per-reactor connection slabs hold the
-/// same peers.
+/// and bounded transmit queue, held in a reactor's connection slab
+/// ([`crate::reactor`]).
 pub(crate) struct Peer<C> {
     pub(crate) stream: C,
     pub(crate) deframer: StreamDeframer,
@@ -195,518 +154,3 @@ impl<C: GatewayConn> Peer<C> {
 /// streaming fabricated hellos to bloat the route map is dropped when
 /// it crosses the bound.
 pub const MAX_ROUTED_PER_CONN: usize = 4096;
-
-/// What one [`GatewayRound::poll`] sweep accomplished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GatewayPoll {
-    /// Every challenged device has settled: call
-    /// [`GatewayRound::finish`].
-    Settled,
-    /// I/O moved (accepts, reads, writes or verdicts): sweep again
-    /// immediately.
-    Progressed,
-    /// Nothing happened: the caller may yield or sleep before the next
-    /// sweep.
-    Idle,
-}
-
-/// A poll-driven verifier endpoint multiplexing many prover
-/// connections into one [`RoundEngine`].
-///
-/// See the [module docs](self) for the routing and lifecycle story.
-/// The gateway is long-lived: connections and device routes persist
-/// across rounds, so consecutive [`drive_round`](FleetGateway::drive_round)
-/// calls reuse whatever fleet is still connected.
-pub struct FleetGateway<L: GatewayListener> {
-    listener: Option<L>,
-    /// Slot map of live connections; indices are stable for the life of
-    /// a connection, so `route` can point into it.
-    conns: Vec<Option<Peer<L::Conn>>>,
-    /// Which connection each device was last heard from on.
-    route: HashMap<DeviceId, usize>,
-    /// Framed challenge bytes for devices with no known connection yet,
-    /// at most one per device (a re-challenge supersedes the session,
-    /// so delivering anything but the latest would only manufacture a
-    /// `BadMac`). Cleared at every round start.
-    parked: HashMap<DeviceId, Vec<u8>>,
-    /// Which connection each device's challenge was actually *sent* on
-    /// this round. A dying connection is charged only for these — a
-    /// hello from some other connection claiming the device's id moves
-    /// the `route`, but must not let that connection's death falsify
-    /// the verdict of a device it never carried. Cleared at every
-    /// round start.
-    delivered: HashMap<DeviceId, usize>,
-    accepted_total: u64,
-    dropped_total: u64,
-    accept_errors: u64,
-    /// Hello frames naming a device the registry has never enrolled —
-    /// routed (the device may be enrolled later) but counted, so an
-    /// operator can see fabricated or premature announcements instead
-    /// of silent acceptance.
-    unknown_hellos: u64,
-}
-
-impl FleetGateway<TcpListener> {
-    /// Binds a TCP listener and wraps it in a gateway.
-    ///
-    /// # Errors
-    ///
-    /// Any bind/configure error from the socket layer.
-    pub fn bind_tcp(addr: impl std::net::ToSocketAddrs) -> io::Result<FleetGateway<TcpListener>> {
-        FleetGateway::over(TcpListener::bind(addr)?)
-    }
-}
-
-#[cfg(unix)]
-impl FleetGateway<std::os::unix::net::UnixListener> {
-    /// Binds a Unix-domain listener and wraps it in a gateway.
-    ///
-    /// # Errors
-    ///
-    /// Any bind/configure error from the socket layer.
-    pub fn bind_uds(
-        path: impl AsRef<std::path::Path>,
-    ) -> io::Result<FleetGateway<std::os::unix::net::UnixListener>> {
-        FleetGateway::over(std::os::unix::net::UnixListener::bind(path)?)
-    }
-}
-
-impl<C: GatewayConn> FleetGateway<NoListener<C>> {
-    /// A gateway with no listening socket: every connection enters via
-    /// [`adopt`](FleetGateway::adopt). The vehicle for socketpair
-    /// fabrics in tests and benches.
-    pub fn detached() -> FleetGateway<NoListener<C>> {
-        FleetGateway {
-            listener: None,
-            conns: Vec::new(),
-            route: HashMap::new(),
-            parked: HashMap::new(),
-            delivered: HashMap::new(),
-            accepted_total: 0,
-            dropped_total: 0,
-            accept_errors: 0,
-            unknown_hellos: 0,
-        }
-    }
-}
-
-impl<L: GatewayListener> FleetGateway<L> {
-    /// Takes ownership of a listening socket (switched to non-blocking
-    /// mode) and serves connections accepted from it.
-    ///
-    /// # Errors
-    ///
-    /// Any configure error from the socket layer.
-    pub fn over(mut listener: L) -> io::Result<FleetGateway<L>> {
-        listener.prepare()?;
-        Ok(FleetGateway {
-            listener: Some(listener),
-            conns: Vec::new(),
-            route: HashMap::new(),
-            parked: HashMap::new(),
-            delivered: HashMap::new(),
-            accepted_total: 0,
-            dropped_total: 0,
-            accept_errors: 0,
-            unknown_hellos: 0,
-        })
-    }
-
-    /// The owned listener, for callers that need its identity — say,
-    /// the ephemeral port a `bind_tcp("127.0.0.1:0")` gateway landed
-    /// on.
-    pub fn listener(&self) -> Option<&L> {
-        self.listener.as_ref()
-    }
-
-    /// Hands the gateway an already-connected stream (switched to
-    /// non-blocking mode), exactly as if the listener had accepted it.
-    ///
-    /// # Errors
-    ///
-    /// Any configure error from the socket layer.
-    pub fn adopt(&mut self, mut conn: L::Conn) -> io::Result<()> {
-        conn.prepare()?;
-        self.accepted_total += 1;
-        let peer = Peer::new(conn);
-        match self.conns.iter().position(Option::is_none) {
-            Some(idx) => self.conns[idx] = Some(peer),
-            None => self.conns.push(Some(peer)),
-        }
-        Ok(())
-    }
-
-    /// Accepts every connection currently waiting on the listener.
-    /// Returns how many entered the gateway.
-    ///
-    /// Rounds do this on every sweep; calling it directly is only
-    /// needed to pre-accept connections before a round begins.
-    ///
-    /// # Errors
-    ///
-    /// Any accept/configure error from the socket layer (also counted
-    /// in [`accept_errors`](FleetGateway::accept_errors), since round
-    /// sweeps retry rather than abort on them).
-    pub fn accept_pending(&mut self) -> io::Result<usize> {
-        let mut accepted = 0;
-        while let Some(listener) = self.listener.as_mut() {
-            let pending = match listener.poll_accept() {
-                Ok(pending) => pending,
-                Err(e) => {
-                    self.accept_errors += 1;
-                    return Err(e);
-                }
-            };
-            match pending {
-                Some(conn) => {
-                    if let Err(e) = self.adopt(conn) {
-                        self.accept_errors += 1;
-                        return Err(e);
-                    }
-                    accepted += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(accepted)
-    }
-
-    /// Number of live connections.
-    pub fn connections(&self) -> usize {
-        self.conns.iter().filter(|c| c.is_some()).count()
-    }
-
-    /// Number of devices with a known connection.
-    pub fn routed_devices(&self) -> usize {
-        self.route.len()
-    }
-
-    /// Connections dropped so far (hangups, I/O errors, poisoned
-    /// framing, overflowed write queues).
-    pub fn dropped_connections(&self) -> u64 {
-        self.dropped_total
-    }
-
-    /// Connections accepted or adopted so far.
-    pub fn accepted_connections(&self) -> u64 {
-        self.accepted_total
-    }
-
-    /// Accept attempts that failed with an error (fd exhaustion, a
-    /// broken listener, …). Round sweeps keep sweeping through these —
-    /// affected provers simply expire by deadline — so a growing count
-    /// here is the operator's signal that the *listener*, not the
-    /// fleet, is unhealthy.
-    pub fn accept_errors(&self) -> u64 {
-        self.accept_errors
-    }
-
-    /// Hello frames received for devices the registry has never seen.
-    /// The hello still routes (enrollment may be seconds away and the
-    /// parked-challenge path wants the route), but each one is counted
-    /// here — the fleet-level `UnknownDevice` signal for announcements,
-    /// mirroring the [`FleetError::UnknownDevice`] verdict evidence
-    /// frames already get.
-    pub fn unknown_device_hellos(&self) -> u64 {
-        self.unknown_hellos
-    }
-
-    /// Queues one challenge frame towards `device`: onto its routed
-    /// connection when one is live, parked until a hello otherwise.
-    /// Deliveries are recorded in `delivered`, which is what hangup
-    /// charging keys on.
-    fn route_transmit(&mut self, device: DeviceId, frame: &[u8]) {
-        let framed = frame_stream(frame);
-        match self.route.get(&device) {
-            Some(&idx) if self.conns[idx].as_ref().is_some_and(|p| !p.dead) => {
-                let peer = self.conns[idx].as_mut().expect("checked above");
-                if peer.outbox.enqueue(&framed) {
-                    self.delivered.insert(device, idx);
-                } else {
-                    peer.dead = true; // not draining: wedged or hostile
-                    self.parked.insert(device, framed);
-                }
-            }
-            _ => {
-                self.parked.insert(device, framed);
-            }
-        }
-    }
-
-    /// Records "device `id` was heard on connection `idx`" (last
-    /// arrival wins), maintaining the per-connection route count and
-    /// dropping a peer that floods past [`MAX_ROUTED_PER_CONN`].
-    fn record_route(&mut self, id: DeviceId, idx: usize) {
-        let previous = self.route.insert(id, idx);
-        if previous == Some(idx) {
-            return;
-        }
-        if let Some(prev) = previous {
-            if let Some(peer) = self.conns[prev].as_mut() {
-                peer.routed = peer.routed.saturating_sub(1);
-            }
-        }
-        let peer = self.conns[idx].as_mut().expect("live peer");
-        peer.routed += 1;
-        if peer.routed > MAX_ROUTED_PER_CONN {
-            peer.dead = true;
-        }
-    }
-
-    /// Pumps every connection's receive side: drains complete frames,
-    /// records routes, delivers parked challenges to devices that just
-    /// revealed their connection, and collects every judgeable frame.
-    /// Hellos naming devices `fleet` never enrolled are counted in
-    /// [`unknown_device_hellos`](FleetGateway::unknown_device_hellos).
-    /// Returns the frames in arrival order plus whether any I/O moved.
-    fn sweep_reads(&mut self, fleet: &FleetVerifier, inbound: &mut Vec<Vec<u8>>) -> bool {
-        let mut progressed = false;
-        for idx in 0..self.conns.len() {
-            if self.conns[idx].is_none() {
-                continue;
-            }
-            loop {
-                let peer = self.conns[idx].as_mut().expect("slot checked live");
-                if peer.dead {
-                    break;
-                }
-                match peer.deframer.next_frame() {
-                    Ok(Some(frame)) => {
-                        progressed = true;
-                        match Envelope::from_bytes(&frame) {
-                            Ok(envelope) => {
-                                let id = DeviceId(envelope.device_id);
-                                self.record_route(id, idx);
-                                if let Some(parked) = self.parked.remove(&id) {
-                                    let peer = self.conns[idx].as_mut().expect("live peer");
-                                    if peer.outbox.enqueue(&parked) {
-                                        self.delivered.insert(id, idx);
-                                    } else {
-                                        peer.dead = true; // not draining: wedged
-                                                          // Re-park: the device may yet
-                                                          // hello on a healthier
-                                                          // connection before its
-                                                          // deadline.
-                                        self.parked.insert(id, parked);
-                                    }
-                                }
-                                // A hello (empty payload) is routing
-                                // information only; anything else is
-                                // evidence for the engine.
-                                if envelope.payload.is_empty() {
-                                    if !fleet.is_registered(id) {
-                                        self.unknown_hellos += 1;
-                                    }
-                                } else {
-                                    inbound.push(frame);
-                                }
-                            }
-                            // Unattributable frames still go to the
-                            // engine: the round records them as `Frame`
-                            // outcomes, it just cannot route by them.
-                            Err(_) => inbound.push(frame),
-                        }
-                    }
-                    Ok(None) => match pump_read(&mut peer.stream, &mut peer.deframer) {
-                        ReadPump::Bytes(_) => progressed = true,
-                        ReadPump::Idle => break,
-                        ReadPump::Closed | ReadPump::Broken => {
-                            peer.dead = true;
-                            break;
-                        }
-                    },
-                    // Oversized length prefix: frame boundaries are
-                    // lost for good — the sticky error drops the
-                    // connection.
-                    Err(_) => {
-                        peer.dead = true;
-                        break;
-                    }
-                }
-            }
-        }
-        progressed
-    }
-
-    /// Flushes every connection's write queue, then reaps dead
-    /// connections: routes through them are forgotten, and every device
-    /// whose challenge was *delivered* on them and is still awaited by
-    /// `engine` is charged [`FleetError::NoResponse`] — its path to the
-    /// verifier is gone. (Merely being *routed* there is not enough: a
-    /// hello from another connection claiming the device's id moves the
-    /// route, and that connection's death must not falsify the verdict
-    /// of a device it never carried.) Returns whether any I/O or
-    /// verdict moved.
-    fn sweep_writes_and_reap(&mut self, engine: &mut RoundEngine<'_>) -> bool {
-        let mut progressed = false;
-        for idx in 0..self.conns.len() {
-            let Some(peer) = self.conns[idx].as_mut() else {
-                continue;
-            };
-            if !peer.dead {
-                match peer.outbox.flush(&mut peer.stream) {
-                    WritePump::Drained => {}
-                    WritePump::Blocked(wrote) => progressed |= wrote > 0,
-                    WritePump::Closed | WritePump::Broken => peer.dead = true,
-                }
-            }
-            if peer.dead {
-                progressed = true;
-                self.conns[idx] = None;
-                self.dropped_total += 1;
-                self.route.retain(|_, &mut conn| conn != idx);
-                let carried: Vec<DeviceId> = self
-                    .delivered
-                    .iter()
-                    .filter(|&(_, &conn)| conn == idx)
-                    .map(|(&id, _)| id)
-                    .collect();
-                for id in carried {
-                    self.delivered.remove(&id);
-                    engine.charge_no_response(id);
-                }
-            }
-        }
-        progressed
-    }
-}
-
-/// One round in flight over a [`FleetGateway`]: the engine, plus the
-/// wall clock that maps elapsed milliseconds onto its ticks.
-///
-/// [`FleetGateway::drive_round`] (or
-/// [`FleetVerifier::run_round_gateway`]) wraps this in a ready-made
-/// loop; drive it by hand when the same thread must also do other work
-/// between sweeps — a simulation harness playing both sides, a service
-/// with its own scheduler.
-pub struct GatewayRound<'a> {
-    engine: RoundEngine<'a>,
-    started: Instant,
-}
-
-impl<'a> GatewayRound<'a> {
-    /// Starts a round: issues one fresh challenge per device and
-    /// discards the previous round's residue — parked challenge frames
-    /// (their sessions are superseded), the delivery record, and any
-    /// connection whose write queue still holds undelivered bytes (its
-    /// peer stopped draining a round ago; flushing the remainder now
-    /// would deliver a stale challenge whose answer can only be a
-    /// `BadMac`). Challenges reach the wire on the following
-    /// [`poll`](GatewayRound::poll) sweeps, as routes allow.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownDevice`] before any challenge is issued.
-    pub fn begin<L: GatewayListener>(
-        fleet: &'a FleetVerifier,
-        ids: &[DeviceId],
-        gateway: &mut FleetGateway<L>,
-        budget: Duration,
-    ) -> Result<GatewayRound<'a>, FleetError> {
-        gateway.parked.clear();
-        gateway.delivered.clear();
-        for peer in gateway.conns.iter_mut().flatten() {
-            if !peer.outbox.is_empty() {
-                peer.dead = true; // wedged since last round
-            }
-        }
-        let engine = RoundEngine::begin(fleet, ids, RoundConfig::realtime(budget))?;
-        Ok(GatewayRound {
-            engine,
-            started: Instant::now(),
-        })
-    }
-
-    /// One readiness sweep: route queued challenges, accept waiting
-    /// connections, pump every receive side, judge the arrived frames
-    /// (batched onto the MAC worker pool when the sweep was busy),
-    /// flush every transmit side, reap dead connections, and advance
-    /// the engine clock to the elapsed wall time.
-    pub fn poll<L: GatewayListener>(&mut self, gateway: &mut FleetGateway<L>) -> GatewayPoll {
-        let mut progressed = false;
-
-        while let Some((device, frame)) = self.engine.poll_transmit() {
-            gateway.route_transmit(device, &frame);
-            progressed = true;
-        }
-        progressed |= gateway.accept_pending().unwrap_or(0) > 0;
-
-        let mut inbound = Vec::new();
-        progressed |= gateway.sweep_reads(self.engine.fleet(), &mut inbound);
-        if !inbound.is_empty() {
-            progressed = true;
-            for (device, result) in self.engine.fleet().conclude_batch(&inbound) {
-                self.engine.outcome_received(device, result);
-            }
-        }
-
-        // Devices evicted from the registry mid-round settle now, as
-        // `Evicted` — never left dangling toward a `NoResponse`
-        // deadline.
-        progressed |= self.engine.sync_membership() > 0;
-
-        progressed |= gateway.sweep_writes_and_reap(&mut self.engine);
-
-        self.engine
-            .tick(LogicalTime(self.started.elapsed().as_millis() as u64));
-
-        if self.engine.is_settled() {
-            GatewayPoll::Settled
-        } else if progressed {
-            GatewayPoll::Progressed
-        } else {
-            GatewayPoll::Idle
-        }
-    }
-
-    /// Challenged devices not yet settled.
-    pub fn awaiting(&self) -> usize {
-        self.engine.awaiting()
-    }
-
-    /// Consumes the round into its report; devices still awaiting are
-    /// charged [`FleetError::NoResponse`], so no round leaks sessions.
-    pub fn finish(self) -> RoundReport {
-        self.engine.into_report()
-    }
-}
-
-impl<L: GatewayListener> FleetGateway<L> {
-    /// Drives one full round to settlement: sweeps while I/O moves,
-    /// yields briefly when it does not, and maps the wall-clock
-    /// `budget` onto engine ticks so silent devices expire exactly as
-    /// under [`drive_round`](crate::stream::drive_round).
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownDevice`] when an id is not enrolled (no
-    /// challenge is issued in that case).
-    pub fn drive_round(
-        &mut self,
-        fleet: &FleetVerifier,
-        ids: &[DeviceId],
-        budget: Duration,
-    ) -> Result<RoundReport, FleetError> {
-        /// Idle sweeps that merely yield before the loop starts
-        /// sleeping: keeps hot rounds fast without burning a core
-        /// through a long silent deadline.
-        const IDLE_YIELDS: u32 = 64;
-
-        let mut round = GatewayRound::begin(fleet, ids, self, budget)?;
-        let mut idle_streak = 0u32;
-        loop {
-            match round.poll(self) {
-                GatewayPoll::Settled => return Ok(round.finish()),
-                GatewayPoll::Progressed => idle_streak = 0,
-                GatewayPoll::Idle => {
-                    idle_streak += 1;
-                    if idle_streak <= IDLE_YIELDS {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            }
-        }
-    }
-}

@@ -24,44 +24,44 @@
 //!   with per-device isolation: one garbled or forged frame rejects
 //!   that device alone, never the round ([`round`]);
 //! * [`Transport`] — the non-blocking byte pump (`send` / `try_recv`)
-//!   any delivery fabric implements: the in-memory [`Loopback`] wired
-//!   to real simulated devices ([`transport`]), and the framed TCP/UDS
-//!   [`StreamTransport`] for provers in other processes or hosts
-//!   ([`stream`]).
+//!   behind lock-step rounds; the in-memory [`Loopback`] wires it to
+//!   real simulated devices ([`transport`]);
+//! * [`FleetRuntime`] — the socket driver: persistent reactor threads
+//!   serving many concurrent TCP/UDS prover connections, framed by the
+//!   non-blocking halves in [`stream`] ([`runtime`], [`reactor`]).
 //!
-//! # Three driving modes
+//! # Two driving modes
 //!
-//! Everything real-time funnels into the same engine through one of
-//! three drivers:
+//! Everything funnels into the same engine through one of two drivers:
 //!
-//! 1. **Single-peer** — [`drive_round`] pumps one [`Transport`]
-//!    (usually a [`StreamTransport`]) against a wall-clock budget:
-//!    right when one prover host carries the whole fleet behind a
-//!    single stream, or in tests and benches. The whole round
-//!    serializes through that one connection.
-//! 2. **Multi-peer** — [`FleetGateway`] ([`gateway`]) owns a listening
-//!    socket plus every accepted prover connection, each with its own
-//!    deframer and bounded write queue, serviced by a poll-driven
-//!    readiness loop that never blocks on any one peer. Devices are
-//!    routed by the hello frames they announce themselves with
-//!    ([`announce_devices`]), not pinned to a transport; a hangup or
-//!    poisoned connection charges its still-awaited devices
-//!    [`FleetError::NoResponse`] immediately. Drive it with
-//!    [`FleetVerifier::run_round_gateway`], or sweep-by-sweep via
-//!    [`GatewayRound`] when the caller interleaves its own work.
-//! 3. **Multi-reactor** — [`MultiGateway`] ([`reactor`]) shards the
-//!    gateway round across N reactor threads: each owns a disjoint
-//!    slab of connections plus its own engine partition over the
-//!    sharded registry ([`FleetVerifier::reactor_of`]), the calling
-//!    thread supervises accepts and settlement, and the per-reactor
-//!    partial reports merge into one canonical [`RoundReport`]
-//!    independent of thread interleaving. This is the driver that
-//!    saturates a many-core verifier host.
+//! 1. **Lock-step reference** — [`FleetVerifier::run_round`] (and
+//!    [`FleetDirectory::run_epoch`]) pumps a [`Transport`] with no
+//!    clock at all: every request goes out, every immediately available
+//!    response comes back, and the round settles. Over [`Loopback`]
+//!    this is the deterministic reference the corpus, scenario and
+//!    property suites rely on.
+//! 2. **[`FleetRuntime`]** — the one I/O driver for real sockets. It
+//!    owns a listening socket plus every accepted prover connection,
+//!    each with its own deframer and bounded write queue, serviced by
+//!    N persistent reactor threads that never block on any one peer.
+//!    Devices are routed by the hello frames they announce themselves
+//!    with ([`announce_devices`]), not pinned to a connection; a hangup
+//!    or poisoned connection charges its still-awaited devices
+//!    [`FleetError::NoResponse`] immediately. Each reactor owns a
+//!    disjoint slab of connections plus its own engine partition over
+//!    the sharded registry ([`FleetVerifier::reactor_of`]), and the
+//!    per-reactor partial reports merge into one canonical
+//!    [`RoundReport`] independent of thread interleaving. Drive it
+//!    with [`FleetRuntime::run_round`], pipeline epochs with
+//!    [`submit_round`](FleetRuntime::submit_round) /
+//!    [`wait_round`](FleetRuntime::wait_round), or interleave the
+//!    driving thread's own work with
+//!    [`poll_round`](FleetRuntime::poll_round).
 //!
-//! All map elapsed wall-clock milliseconds onto engine ticks, so the
-//! verdict semantics — deadlines, late frames, per-device isolation —
-//! are identical; only the fan-in differs. Budgets round **up** to
-//! whole-millisecond ticks and never below one tick
+//! The runtime maps elapsed wall-clock milliseconds onto engine ticks,
+//! so the verdict semantics — deadlines, late frames, per-device
+//! isolation — are the engine's own. Budgets round **up** to whole
+//! millisecond ticks and never below one tick
 //! ([`RoundConfig::realtime`]): a sub-millisecond budget means "one
 //! tick", not "expire everyone before the first read".
 //!
@@ -69,7 +69,8 @@
 //!
 //! One image, two provers, one batched round over the loopback
 //! transport (`run_round` drives the engine lock-step; see
-//! `examples/fleet_socket.rs` for the same round over a real socket):
+//! `examples/fleet_socket.rs` for the same round over a real socket
+//! through a [`FleetRuntime`]):
 //!
 //! ```
 //! use asap::{programs, Device, PoxMode, VerifierSpec};
@@ -159,21 +160,15 @@ pub mod transport;
 
 pub use engine::{LogicalTime, RoundConfig, RoundEngine};
 pub use error::FleetError;
-pub use gateway::{
-    FleetGateway, GatewayConn, GatewayListener, GatewayPoll, GatewayRound, NoListener,
-    MAX_ROUTED_PER_CONN,
-};
+pub use gateway::{GatewayConn, GatewayListener, NoListener, MAX_ROUTED_PER_CONN};
 pub use lifecycle::{
     ChurnEvent, DeviceState, EpochPlan, FleetDirectory, LifecycleCensus, LifecycleConfig,
 };
-pub use reactor::{MultiGateway, ReactorStats};
+pub use reactor::ReactorStats;
 pub use registry::{FleetVerifier, Verdict, SHARD_COUNT};
 pub use round::{RoundOutcome, RoundReport};
 pub use runtime::FleetRuntime;
-pub use stream::{
-    announce_devices, drive_round, pump_read, serve_frames, ReadPump, StreamTransport, WritePump,
-    WriteQueue,
-};
+pub use stream::{announce_devices, pump_read, serve_frames, ReadPump, WritePump, WriteQueue};
 pub use transport::{Loopback, Transport};
 
 use std::fmt;

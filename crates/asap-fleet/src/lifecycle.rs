@@ -50,20 +50,17 @@
 //!   takes effect at the next epoch boundary, so an in-flight round
 //!   concludes under the key its challenge was MACed with.
 //!
-//! The directory composes with every round driver: hand the
-//! [`EpochPlan`] cohort to [`FleetVerifier::run_round`],
-//! [`FleetGateway::drive_round`](crate::FleetGateway::drive_round) or
-//! [`MultiGateway::drive_round`](crate::MultiGateway::drive_round), or
-//! use the [`run_epoch`](FleetDirectory::run_epoch) /
-//! [`run_epoch_gateway`](FleetDirectory::run_epoch_gateway) /
-//! [`run_epoch_multi`](FleetDirectory::run_epoch_multi) conveniences.
-//! Gateway hello-routing needs no lifecycle awareness: a joining
+//! The directory composes with both round drivers: hand the
+//! [`EpochPlan`] cohort to [`FleetVerifier::run_round`] or
+//! [`FleetRuntime::run_round`], or use the
+//! [`run_epoch`](FleetDirectory::run_epoch) /
+//! [`run_epochs_runtime`](FleetDirectory::run_epochs_runtime)
+//! conveniences. Hello-routing needs no lifecycle awareness: a joining
 //! device's hello parks its route today, and the next epoch's challenge
 //! finds the route waiting.
 
 use crate::error::FleetError;
-use crate::gateway::{FleetGateway, GatewayListener};
-use crate::reactor::MultiGateway;
+use crate::gateway::GatewayListener;
 use crate::registry::{FleetVerifier, SHARD_COUNT};
 use crate::round::RoundReport;
 use crate::runtime::FleetRuntime;
@@ -286,7 +283,7 @@ struct DirectoryState {
 /// See the [module docs](self) for the state machine and scheduling
 /// contract. All methods take `&self`; the directory is meant to be
 /// shared across threads — churn calls land mid-round from ingestion
-/// threads while a round driver owns the gateway.
+/// threads while a round driver owns the runtime.
 pub struct FleetDirectory {
     fleet: Arc<FleetVerifier>,
     config: LifecycleConfig,
@@ -474,7 +471,7 @@ impl FleetDirectory {
     }
 
     /// Notes a device re-dialing in. Pure bookkeeping — routing is the
-    /// gateway's job (the device's next hello moves its route) — but
+    /// runtime's job (the device's next hello moves its route) — but
     /// the count is the operator's reconnect-storm signal. Returns
     /// whether the device is live.
     pub fn reconnect(&self, id: DeviceId) -> bool {
@@ -662,39 +659,6 @@ impl FleetDirectory {
     ) -> Result<(EpochPlan, RoundReport), FleetError> {
         let plan = self.begin_epoch();
         let report = self.fleet.run_round(&plan.cohort, transport)?;
-        Ok((plan, report))
-    }
-
-    /// One epoch over a [`FleetGateway`] under a wall-clock budget.
-    ///
-    /// # Errors
-    ///
-    /// Round-level errors from the driver; the epoch still advanced.
-    pub fn run_epoch_gateway<L: GatewayListener>(
-        &self,
-        gateway: &mut FleetGateway<L>,
-        budget: Duration,
-    ) -> Result<(EpochPlan, RoundReport), FleetError> {
-        let plan = self.begin_epoch();
-        let report = gateway.drive_round(&self.fleet, &plan.cohort, budget)?;
-        Ok((plan, report))
-    }
-
-    /// One epoch over a [`MultiGateway`] under a wall-clock budget.
-    ///
-    /// # Errors
-    ///
-    /// Round-level errors from the driver; the epoch still advanced.
-    pub fn run_epoch_multi<L: GatewayListener>(
-        &self,
-        gateway: &mut MultiGateway<L>,
-        budget: Duration,
-    ) -> Result<(EpochPlan, RoundReport), FleetError>
-    where
-        L::Conn: Send,
-    {
-        let plan = self.begin_epoch();
-        let report = gateway.drive_round(&self.fleet, &plan.cohort, budget)?;
         Ok((plan, report))
     }
 

@@ -1,10 +1,8 @@
-//! The multi-reactor gateway: the [`FleetGateway`](crate::FleetGateway)
-//! round sharded across N reactor threads, one merged [`RoundReport`].
+//! The reactor threads behind [`FleetRuntime`](crate::FleetRuntime):
+//! one round sharded across N reactors, one merged [`RoundReport`].
 //!
-//! One reactor thread cannot saturate a many-core verifier host: the
-//! single-threaded gateway deframes, ticks and flushes every connection
-//! in one loop, and only MAC conclusion fans out. [`MultiGateway`]
-//! splits the round instead:
+//! One reactor thread cannot saturate a many-core verifier host, so
+//! the runtime splits every round:
 //!
 //! * **Reactors.** Each of N reactor threads owns a disjoint slab of
 //!   connections (accepted sockets are handed off round-robin) *and* a
@@ -13,10 +11,10 @@
 //!   [`FleetVerifier`] registry. Device→reactor affinity rides the
 //!   registry shard hash ([`FleetVerifier::reactor_of`]), so two
 //!   reactors never conclude into the same registry shard.
-//! * **Supervisor.** The calling thread accepts connections during the
-//!   round, hands them to reactors, and watches per-reactor settled
-//!   flags; when every partition has settled it stops the reactors and
-//!   folds their partial reports into one round report.
+//! * **Driver.** The runtime's owning thread accepts connections,
+//!   hands them to reactors, and collects each reactor's partial
+//!   report per epoch; once every partition has reported it folds them
+//!   into one round report.
 //!
 //! # Cross-reactor routing
 //!
@@ -58,16 +56,13 @@
 
 use crate::engine::{LogicalTime, RoundConfig, RoundEngine};
 use crate::error::FleetError;
-use crate::gateway::{GatewayConn, GatewayListener, NoListener, Peer, MAX_ROUTED_PER_CONN};
+use crate::gateway::{GatewayConn, Peer, MAX_ROUTED_PER_CONN};
 use crate::registry::FleetVerifier;
 use crate::round::{RoundOutcome, RoundReport};
 use crate::stream::{pump_read, ReadPump, WritePump};
 use crate::DeviceId;
 use apex_pox::wire::{frame_stream, Envelope};
 use std::collections::{HashMap, HashSet};
-use std::io;
-use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -81,11 +76,9 @@ pub(crate) struct Route {
 }
 
 /// Cross-reactor mail. Every variant is fire-and-forget: a message to a
-/// reactor that already stopped is simply dropped, which matches the
-/// single-reactor gateway truncating its sweep the moment the round
-/// settles.
+/// reactor that already stopped is simply dropped.
 pub(crate) enum ReactorMsg<C> {
-    /// A freshly accepted connection, handed off by the supervisor.
+    /// A freshly accepted connection, handed off by the runtime driver.
     Conn(C),
     /// Owner → connection reactor: queue this framed challenge on the
     /// connection at `slot` (re-checked against the live route, so a
@@ -112,16 +105,15 @@ pub(crate) enum ReactorMsg<C> {
     /// The route that pointed at this reactor's `slot` moved to another
     /// connection; drop one from the slot's flood counter.
     Unroute { slot: usize },
-    /// Runtime → persistent reactor: begin this epoch's round over the
-    /// reactor's partition. Scoped [`MultiGateway`] rounds never send
-    /// this — their engines are built before the round loop starts.
+    /// Runtime → reactor: begin this epoch's round over the reactor's
+    /// partition.
     Begin(RoundStart),
-    /// Runtime → persistent reactor: finish in-flight epochs' scratch
-    /// teardown and exit the thread.
+    /// Runtime → reactor: finish in-flight epochs' scratch teardown and
+    /// exit the thread.
     Shutdown,
 }
 
-/// One epoch's round descriptor, mailed to a persistent reactor by
+/// One epoch's round descriptor, mailed to every reactor by
 /// [`FleetRuntime`](crate::FleetRuntime).
 pub(crate) struct RoundStart {
     pub(crate) epoch: u64,
@@ -134,8 +126,7 @@ pub(crate) struct RoundStart {
 
 /// One in-flight epoch inside a reactor: its engine plus the clock the
 /// budget is measured against. A reactor multiplexes several of these
-/// when epochs are pipelined; the scoped gateway always runs exactly
-/// one.
+/// when epochs are pipelined.
 pub(crate) struct EpochRun<'run> {
     pub(crate) epoch: u64,
     pub(crate) engine: RoundEngine<'run>,
@@ -146,14 +137,13 @@ pub(crate) struct EpochRun<'run> {
     pub(crate) cohort: Vec<DeviceId>,
 }
 
-/// One reactor's persistent half: its connection slab and per-round
-/// routing residue. Lives in [`MultiGateway`] across rounds; borrowed
-/// mutably by the reactor thread for the duration of each round.
+/// One reactor's long-lived half: its connection slab and per-epoch
+/// routing residue, owned by the reactor thread for the runtime's
+/// whole life.
 pub(crate) struct ReactorState<C> {
     pub(crate) conns: Vec<Option<Peer<C>>>,
-    /// Framed challenges for owned devices with no usable route yet.
-    /// Cleared at round start on the scoped gateway; on the persistent
-    /// runtime, pruned when the epoch that parked them finishes.
+    /// Framed challenges for owned devices with no usable route yet,
+    /// pruned when the epoch that parked them finishes.
     pub(crate) parked: HashMap<DeviceId, Vec<u8>>,
     /// Which local slot each device's challenge was actually sent on
     /// this round — hangup charging keys on this, never on the
@@ -161,8 +151,7 @@ pub(crate) struct ReactorState<C> {
     pub(crate) delivered: HashMap<DeviceId, usize>,
     pub(crate) dropped_total: u64,
     /// Hello frames this reactor read for devices the registry has
-    /// never enrolled (see
-    /// [`FleetGateway::unknown_device_hellos`](crate::FleetGateway::unknown_device_hellos)).
+    /// never enrolled (see [`ReactorStats::unknown_device_hellos`]).
     pub(crate) unknown_hellos: u64,
     /// Outcomes this reactor's partial report contributed last round.
     pub(crate) last_outcomes: usize,
@@ -180,8 +169,7 @@ impl<C: GatewayConn> ReactorState<C> {
         }
     }
 
-    /// Slots a prepared connection into the slab (reusing holes, as the
-    /// single-reactor gateway does).
+    /// Slots a prepared connection into the slab, reusing holes.
     pub(crate) fn adopt(&mut self, conn: C) {
         let peer = Peer::new(conn);
         match self.conns.iter().position(Option::is_none) {
@@ -194,8 +182,8 @@ impl<C: GatewayConn> ReactorState<C> {
         self.conns.iter().filter(|c| c.is_some()).count()
     }
 
-    /// Point-in-time counters, snapshotted into every persistent-epoch
-    /// completion message so the runtime driver can serve
+    /// Point-in-time counters, snapshotted into every epoch completion
+    /// message so the runtime driver can serve
     /// [`ReactorStats`] without reaching into reactor threads.
     pub(crate) fn stats(&self) -> ReactorStats {
         ReactorStats {
@@ -221,339 +209,6 @@ pub struct ReactorStats {
     /// Outcomes this reactor's partial report contributed to the last
     /// round (its share of the merged report).
     pub last_round_outcomes: usize,
-}
-
-/// A [`FleetGateway`](crate::FleetGateway) whose round loop is sharded
-/// across reactor threads.
-///
-/// Long-lived like the single-reactor gateway: connections and device
-/// routes persist across rounds, and each
-/// [`drive_round`](MultiGateway::drive_round) spawns the reactors as
-/// scoped threads for just that round — no thread outlives the call.
-/// See the [module docs](self) for the architecture.
-pub struct MultiGateway<L: GatewayListener> {
-    listener: Option<L>,
-    reactors: Vec<ReactorState<L::Conn>>,
-    /// The single source of truth for device→connection routing,
-    /// shared by every reactor. Lock scope is kept to single map
-    /// operations — the heavy per-connection work all happens on
-    /// reactor-local state.
-    route: Mutex<HashMap<DeviceId, Route>>,
-    /// Round-robin cursor for connection handoff.
-    next_reactor: usize,
-    accepted_total: u64,
-    accept_errors: u64,
-}
-
-impl MultiGateway<TcpListener> {
-    /// Binds a TCP listener and shards its gateway over `reactors`
-    /// reactor threads.
-    ///
-    /// # Errors
-    ///
-    /// Any bind/configure error from the socket layer.
-    pub fn bind_tcp(
-        addr: impl std::net::ToSocketAddrs,
-        reactors: usize,
-    ) -> io::Result<MultiGateway<TcpListener>> {
-        MultiGateway::over(TcpListener::bind(addr)?, reactors)
-    }
-}
-
-#[cfg(unix)]
-impl MultiGateway<std::os::unix::net::UnixListener> {
-    /// Binds a Unix-domain listener and shards its gateway over
-    /// `reactors` reactor threads.
-    ///
-    /// # Errors
-    ///
-    /// Any bind/configure error from the socket layer.
-    pub fn bind_uds(
-        path: impl AsRef<std::path::Path>,
-        reactors: usize,
-    ) -> io::Result<MultiGateway<std::os::unix::net::UnixListener>> {
-        MultiGateway::over(std::os::unix::net::UnixListener::bind(path)?, reactors)
-    }
-}
-
-impl<C: GatewayConn> MultiGateway<NoListener<C>> {
-    /// A multi-reactor gateway with no listening socket: every
-    /// connection enters via [`adopt`](MultiGateway::adopt). The
-    /// vehicle for socketpair fabrics in tests and benches.
-    pub fn detached(reactors: usize) -> MultiGateway<NoListener<C>> {
-        MultiGateway {
-            listener: None,
-            reactors: (0..reactors.max(1)).map(|_| ReactorState::new()).collect(),
-            route: Mutex::new(HashMap::new()),
-            next_reactor: 0,
-            accepted_total: 0,
-            accept_errors: 0,
-        }
-    }
-}
-
-impl<L: GatewayListener> MultiGateway<L> {
-    /// Takes ownership of a listening socket (switched to non-blocking
-    /// mode) and serves its connections over `reactors` reactor
-    /// threads. A count of zero is clamped to one.
-    ///
-    /// # Errors
-    ///
-    /// Any configure error from the socket layer.
-    pub fn over(mut listener: L, reactors: usize) -> io::Result<MultiGateway<L>> {
-        listener.prepare()?;
-        Ok(MultiGateway {
-            listener: Some(listener),
-            reactors: (0..reactors.max(1)).map(|_| ReactorState::new()).collect(),
-            route: Mutex::new(HashMap::new()),
-            next_reactor: 0,
-            accepted_total: 0,
-            accept_errors: 0,
-        })
-    }
-
-    /// The owned listener, for callers that need its identity — say,
-    /// the ephemeral port a `bind_tcp("127.0.0.1:0", n)` gateway landed
-    /// on.
-    pub fn listener(&self) -> Option<&L> {
-        self.listener.as_ref()
-    }
-
-    /// Number of reactor threads a round runs on.
-    pub fn reactors(&self) -> usize {
-        self.reactors.len()
-    }
-
-    /// Hands the gateway an already-connected stream (switched to
-    /// non-blocking mode), assigned to the next reactor round-robin.
-    ///
-    /// # Errors
-    ///
-    /// Any configure error from the socket layer.
-    pub fn adopt(&mut self, mut conn: L::Conn) -> io::Result<()> {
-        conn.prepare()?;
-        self.accepted_total += 1;
-        self.reactors[self.next_reactor].adopt(conn);
-        self.next_reactor = (self.next_reactor + 1) % self.reactors.len();
-        Ok(())
-    }
-
-    /// Accepts every connection currently waiting on the listener,
-    /// spreading them round-robin across reactors. Returns how many
-    /// entered the gateway. Rounds accept continuously; calling this
-    /// directly is only needed to pre-accept before a round begins.
-    ///
-    /// # Errors
-    ///
-    /// Any accept/configure error from the socket layer (also counted
-    /// in [`accept_errors`](MultiGateway::accept_errors)).
-    pub fn accept_pending(&mut self) -> io::Result<usize> {
-        let mut accepted = 0;
-        while let Some(listener) = self.listener.as_mut() {
-            match listener.poll_accept() {
-                Ok(Some(conn)) => {
-                    if let Err(e) = self.adopt(conn) {
-                        self.accept_errors += 1;
-                        return Err(e);
-                    }
-                    accepted += 1;
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    self.accept_errors += 1;
-                    return Err(e);
-                }
-            }
-        }
-        Ok(accepted)
-    }
-
-    /// Live connections across all reactors.
-    pub fn connections(&self) -> usize {
-        self.reactors.iter().map(ReactorState::connections).sum()
-    }
-
-    /// Number of devices with a known connection.
-    pub fn routed_devices(&self) -> usize {
-        self.route.lock().unwrap().len()
-    }
-
-    /// Connections accepted or adopted so far.
-    pub fn accepted_connections(&self) -> u64 {
-        self.accepted_total
-    }
-
-    /// Connections dropped so far, across all reactors.
-    pub fn dropped_connections(&self) -> u64 {
-        self.reactors.iter().map(|r| r.dropped_total).sum()
-    }
-
-    /// Accept attempts that failed with an error (fd exhaustion, a
-    /// broken listener, …). Rounds keep sweeping through these.
-    pub fn accept_errors(&self) -> u64 {
-        self.accept_errors
-    }
-
-    /// Per-reactor counters, indexed by reactor.
-    pub fn reactor_stats(&self) -> Vec<ReactorStats> {
-        self.reactors
-            .iter()
-            .map(|r| ReactorStats {
-                connections: r.connections(),
-                dropped_connections: r.dropped_total,
-                unknown_device_hellos: r.unknown_hellos,
-                last_round_outcomes: r.last_outcomes,
-            })
-            .collect()
-    }
-
-    /// Drives one full round to settlement across all reactors and
-    /// merges their partial reports canonically (see the
-    /// [module docs](self) on determinism). The wall-clock `budget`
-    /// maps onto engine ticks exactly as in
-    /// [`FleetGateway::drive_round`](crate::FleetGateway::drive_round).
-    ///
-    /// The calling thread becomes the supervisor: it accepts incoming
-    /// connections for the whole round and stops the reactors once
-    /// every partition has settled.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownDevice`] when an id is not enrolled (no
-    /// challenge is issued in that case).
-    pub fn drive_round(
-        &mut self,
-        fleet: &FleetVerifier,
-        ids: &[DeviceId],
-        budget: Duration,
-    ) -> Result<RoundReport, FleetError>
-    where
-        L::Conn: Send,
-    {
-        // Validate and dedupe globally before any challenge is issued,
-        // so an unknown id fails the whole round exactly as in the
-        // single-reactor gateway.
-        let mut seen = HashSet::new();
-        let mut order = Vec::new();
-        for &id in ids {
-            if !fleet.is_registered(id) {
-                return Err(FleetError::UnknownDevice(id));
-            }
-            if seen.insert(id) {
-                order.push(id);
-            }
-        }
-
-        let n = self.reactors.len();
-        let mut partitions: Vec<Vec<DeviceId>> = vec![Vec::new(); n];
-        for &id in &order {
-            partitions[fleet.reactor_of(id, n)].push(id);
-        }
-        // Each reactor's MAC pool gets an equal share of the machine:
-        // the worker knob and the reactor count divide the same cores.
-        let workers = (fleet.parallelism() / n).max(1);
-
-        let MultiGateway {
-            listener,
-            reactors,
-            route,
-            next_reactor,
-            accepted_total,
-            accept_errors,
-        } = self;
-
-        let started = Instant::now();
-        let stop = AtomicBool::new(false);
-        let settled: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let (mates, inboxes): (Vec<Sender<ReactorMsg<L::Conn>>>, Vec<_>) =
-            (0..n).map(|_| std::sync::mpsc::channel()).unzip();
-        let route_ref: &Mutex<HashMap<DeviceId, Route>> = route;
-
-        let results: Vec<Result<RoundReport, FleetError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = reactors
-                .iter_mut()
-                .zip(inboxes)
-                .zip(&partitions)
-                .enumerate()
-                .map(|(me, ((state, inbox), partition))| {
-                    let mates = mates.clone();
-                    let settled = &settled[me];
-                    let stop = &stop;
-                    scope.spawn(move || {
-                        run_reactor_round(ReactorArgs {
-                            me,
-                            reactors: n,
-                            state,
-                            fleet,
-                            partition,
-                            budget,
-                            started,
-                            route: route_ref,
-                            mates: &mates,
-                            inbox: &inbox,
-                            settled,
-                            stop,
-                            workers,
-                        })
-                    })
-                })
-                .collect();
-
-            // Supervisor: accept and hand off connections until every
-            // partition settles, then stop the reactors.
-            const IDLE_YIELDS: u32 = 64;
-            let mut idle_streak = 0u32;
-            loop {
-                if settled.iter().all(|s| s.load(Ordering::Acquire)) {
-                    stop.store(true, Ordering::Release);
-                    break;
-                }
-                let mut progressed = false;
-                if let Some(listener) = listener.as_mut() {
-                    loop {
-                        match listener.poll_accept() {
-                            Ok(Some(mut conn)) => {
-                                if conn.prepare().is_ok() {
-                                    *accepted_total += 1;
-                                    let _ = mates[*next_reactor].send(ReactorMsg::Conn(conn));
-                                    *next_reactor = (*next_reactor + 1) % n;
-                                    progressed = true;
-                                } else {
-                                    *accept_errors += 1;
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(_) => {
-                                *accept_errors += 1;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if progressed {
-                    idle_streak = 0;
-                } else {
-                    idle_streak += 1;
-                    if idle_streak <= IDLE_YIELDS {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            }
-
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("reactor threads never panic"))
-                .collect()
-        });
-
-        let mut reports = Vec::with_capacity(n);
-        for result in results {
-            reports.push(result?);
-        }
-        Ok(merge_reports(&order, reports))
-    }
 }
 
 /// Folds per-reactor partial reports into one canonical report:
@@ -586,118 +241,9 @@ pub(crate) fn merge_reports(order: &[DeviceId], reports: Vec<RoundReport>) -> Ro
     RoundReport { outcomes }
 }
 
-/// Everything one reactor thread needs for one round. Bundled so the
-/// spawn site stays readable.
-struct ReactorArgs<'run, C: GatewayConn> {
-    me: usize,
-    reactors: usize,
-    state: &'run mut ReactorState<C>,
-    fleet: &'run FleetVerifier,
-    partition: &'run [DeviceId],
-    budget: Duration,
-    started: Instant,
-    route: &'run Mutex<HashMap<DeviceId, Route>>,
-    mates: &'run [Sender<ReactorMsg<C>>],
-    inbox: &'run Receiver<ReactorMsg<C>>,
-    settled: &'run AtomicBool,
-    stop: &'run AtomicBool,
-    workers: usize,
-}
-
-/// One reactor's whole round: begin the partition, sweep until the
-/// supervisor calls stop, report.
-fn run_reactor_round<C: GatewayConn>(args: ReactorArgs<'_, C>) -> Result<RoundReport, FleetError> {
-    /// Idle sweeps that merely yield before the loop starts sleeping.
-    const IDLE_YIELDS: u32 = 64;
-
-    let ReactorArgs {
-        me,
-        reactors,
-        state,
-        fleet,
-        partition,
-        budget,
-        started,
-        route,
-        mates,
-        inbox,
-        settled,
-        stop,
-        workers,
-    } = args;
-
-    // Discard the previous round's residue, exactly as
-    // `GatewayRound::begin` does on the single-reactor gateway.
-    state.parked.clear();
-    state.delivered.clear();
-    for peer in state.conns.iter_mut().flatten() {
-        if !peer.outbox.is_empty() {
-            peer.dead = true; // wedged since last round
-        }
-    }
-
-    let engine = match RoundEngine::begin(fleet, partition, RoundConfig::realtime(budget)) {
-        Ok(engine) => engine,
-        Err(e) => {
-            // Never leave the supervisor waiting on a partition that
-            // will not settle.
-            settled.store(true, Ordering::Release);
-            return Err(e);
-        }
-    };
-    let mut run = ReactorRun::new(me, reactors, fleet, state, route, mates, workers);
-    run.engines.push(EpochRun {
-        epoch: 0,
-        engine,
-        started,
-        cohort: partition.to_vec(),
-    });
-
-    let mut idle_streak = 0u32;
-    loop {
-        run.progressed = false;
-        run.pump_transmits();
-        run.drain_inbox(inbox);
-        run.sweep_reads();
-        run.conclude_inbound();
-        run.apply_charges();
-        // Owned devices evicted from the registry mid-round settle as
-        // `Evicted` here, on the reactor that owns their round state —
-        // every reactor count resolves the same eviction the same way.
-        run.sync_membership_all();
-        run.sweep_writes_and_reap();
-        run.tick_all();
-        settled.store(run.single_settled(), Ordering::Release);
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        if run.progressed {
-            idle_streak = 0;
-        } else {
-            idle_streak += 1;
-            if idle_streak <= IDLE_YIELDS {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-    }
-
-    // Connections handed off but not yet adopted must survive the
-    // round; other in-flight mail dies with it, as unread bytes do on
-    // the single-reactor gateway when the round settles.
-    while let Ok(msg) = inbox.try_recv() {
-        if let ReactorMsg::Conn(conn) = msg {
-            run.state.adopt(conn);
-        }
-    }
-    Ok(run.take_single_report())
-}
-
 /// One reactor mid-flight: its persistent state plus every in-flight
-/// epoch's engine, the shared inbound batch and channel ends. The
-/// scoped gateway holds exactly one epoch in `engines`; the persistent
-/// runtime multiplexes up to its pipeline depth.
+/// epoch's engine (up to the runtime's pipeline depth), the shared
+/// inbound batch and channel ends.
 pub(crate) struct ReactorRun<'run, C: GatewayConn> {
     pub(crate) me: usize,
     pub(crate) reactors: usize,
@@ -719,7 +265,7 @@ pub(crate) struct ReactorRun<'run, C: GatewayConn> {
     /// evidence just because conclusion is batched.
     pub(crate) pending_charges: Vec<DeviceId>,
     /// Round descriptors mailed by the runtime, begun at the top of the
-    /// next sweep. Scoped rounds never populate this.
+    /// next sweep.
     pub(crate) pending_begins: Vec<RoundStart>,
     /// Set when the runtime mails [`ReactorMsg::Shutdown`].
     pub(crate) shutdown: bool,
@@ -816,20 +362,6 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
         }
     }
 
-    /// Scoped-gateway accessor: whether the single round has settled.
-    fn single_settled(&self) -> bool {
-        self.engines.iter().all(|e| e.engine.is_settled())
-    }
-
-    /// Scoped-gateway teardown: finishes the one round and records its
-    /// outcome count.
-    fn take_single_report(&mut self) -> RoundReport {
-        let e = self.engines.pop().expect("scoped rounds hold one epoch");
-        let report = e.engine.into_report();
-        self.state.last_outcomes = report.outcomes.len();
-        report
-    }
-
     /// Pops every settled epoch (oldest first), finishing its report
     /// and pruning parked/delivered residue no surviving epoch awaits.
     pub(crate) fn harvest_settled(&mut self) -> Vec<(u64, RoundReport, Vec<DeviceId>)> {
@@ -857,7 +389,7 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
     }
 
     /// Fire-and-forget mail: a send to a reactor that already returned
-    /// is dropped, matching the single-reactor stop-at-settle cutoff.
+    /// is dropped.
     fn send(&self, to: usize, msg: ReactorMsg<C>) {
         let _ = self.mates[to].send(msg);
     }
@@ -1106,13 +638,12 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
         }
     }
 
-    /// Concludes the sweep's gathered evidence as one batch — on the
-    /// shared runtime pool when one is attached, else this reactor's
-    /// scoped share of the MAC pool — and feeds each verdict to the
-    /// epoch awaiting its device. Verdicts that belong to no awaited
-    /// device (unsolicited evidence, unattributable frames) land in the
-    /// oldest in-flight epoch, the only one on a scoped round. The
-    /// inbound buffer comes back cleared for the next sweep.
+    /// Concludes the sweep's gathered evidence as one batch on the
+    /// runtime's shared MAC pool and feeds each verdict to the epoch
+    /// awaiting its device. Verdicts that belong to no awaited device
+    /// (unsolicited evidence, unattributable frames) land in the oldest
+    /// in-flight epoch. The inbound buffer comes back cleared for the
+    /// next sweep.
     pub(crate) fn conclude_inbound(&mut self) {
         if self.inbound.is_empty() {
             return;

@@ -21,7 +21,6 @@
 
 use crate::engine::{RoundConfig, RoundEngine};
 use crate::error::FleetError;
-use crate::gateway::{FleetGateway, GatewayListener};
 use crate::round::RoundReport;
 use crate::transport::Transport;
 use crate::DeviceId;
@@ -135,7 +134,7 @@ impl FleetVerifier {
 
     /// An empty fleet over `shards` lock shards (clamped to at least
     /// one). More shards mean less lock contention for wide conclude
-    /// pools and many-reactor gateways; each shard is one mutex plus
+    /// pools and many-reactor runtimes; each shard is one mutex plus
     /// one hash map, so a million-device fleet can afford hundreds.
     pub fn with_shards(shards: usize) -> FleetVerifier {
         let shards = shards.max(1);
@@ -207,7 +206,7 @@ impl FleetVerifier {
     }
 
     /// Which of `reactors` reactor threads owns `id`'s round state in a
-    /// multi-reactor gateway ([`MultiGateway`](crate::MultiGateway)).
+    /// [`FleetRuntime`](crate::FleetRuntime).
     ///
     /// Affinity rides the shard hash: reactor `r` owns exactly the
     /// shards `s` with `s % reactors == r`, so the devices one reactor
@@ -220,7 +219,7 @@ impl FleetVerifier {
     ///
     /// When `reactors` is zero.
     pub fn reactor_of(&self, id: DeviceId, reactors: usize) -> usize {
-        assert!(reactors > 0, "a gateway needs at least one reactor");
+        assert!(reactors > 0, "a runtime needs at least one reactor");
         self.shard_of(id) % reactors
     }
 
@@ -305,11 +304,11 @@ impl FleetVerifier {
 
     /// Caps the [`conclude_batch`](FleetVerifier::conclude_batch)
     /// worker pool at `workers` threads; `0` restores the default of
-    /// following [`std::thread::available_parallelism`]. Shared with
-    /// the reactor count by [`MultiGateway`](crate::MultiGateway):
-    /// each reactor concludes with `parallelism / reactors` workers so
-    /// reactors and MAC workers together never oversubscribe the
-    /// machine.
+    /// following [`std::thread::available_parallelism`]. A
+    /// [`FleetRuntime`](crate::FleetRuntime) sizes its shared MAC pool
+    /// by this knob, and each reactor's fallback share is
+    /// `parallelism / reactors` workers, so reactors and MAC workers
+    /// together never oversubscribe the machine.
     pub fn set_parallelism(&self, workers: usize) {
         self.conclude_workers.store(workers, Ordering::Relaxed);
     }
@@ -610,9 +609,9 @@ impl FleetVerifier {
 
     /// [`conclude_batch`](FleetVerifier::conclude_batch) with an
     /// explicit worker cap, for callers that already own some of the
-    /// machine — a [`MultiGateway`](crate::MultiGateway) reactor
-    /// concludes with `parallelism / reactors` workers so the reactors'
-    /// pools together never oversubscribe the cores.
+    /// machine — a [`FleetRuntime`](crate::FleetRuntime) reactor with
+    /// no pool attached concludes with `parallelism / reactors` workers
+    /// so the reactors' pools together never oversubscribe the cores.
     pub fn conclude_batch_with(&self, frames: &[Vec<u8>], workers: usize) -> Vec<Verdict> {
         /// Below this, thread spawn/join costs more than it buys.
         const PARALLEL_MIN: usize = 32;
@@ -834,9 +833,10 @@ impl FleetVerifier {
     ///
     /// This is the zero-latency driver over [`RoundEngine`] — right
     /// for [`Loopback`](crate::Loopback), where responses appear the
-    /// moment a request is sent. A transport with real latency wants
-    /// [`drive_round`](crate::stream::drive_round) (a response budget
-    /// mapped onto engine ticks) or a hand-rolled engine loop.
+    /// moment a request is sent. Provers with real latency belong
+    /// behind a [`FleetRuntime`](crate::FleetRuntime), which maps a
+    /// wall-clock response budget onto engine ticks, or a hand-rolled
+    /// engine loop.
     ///
     /// # Errors
     ///
@@ -856,29 +856,6 @@ impl FleetVerifier {
         }
         engine.tick(engine.now());
         Ok(engine.into_report())
-    }
-
-    /// Drives one full round through a [`FleetGateway`]: challenges
-    /// every device in `ids`, lets the gateway route each request to
-    /// whichever connection its device announced itself on, and maps
-    /// the wall-clock `budget` onto engine ticks — exactly
-    /// [`drive_round`](crate::stream::drive_round)'s contract, but over
-    /// *many* concurrent prover connections instead of one stream.
-    /// Inbound frames are concluded via
-    /// [`conclude_batch`](FleetVerifier::conclude_batch), so a busy
-    /// sweep verifies MACs on the scoped worker pool.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownDevice`] when an id is not enrolled (no
-    /// challenge is issued in that case).
-    pub fn run_round_gateway<L: GatewayListener>(
-        &self,
-        ids: &[DeviceId],
-        gateway: &mut FleetGateway<L>,
-        budget: std::time::Duration,
-    ) -> Result<RoundReport, FleetError> {
-        gateway.drive_round(self, ids, budget)
     }
 }
 

@@ -1,30 +1,59 @@
-//! The persistent fleet runtime: reactor threads, the accept
-//! supervisor and the MAC-conclusion worker pool, owned **across**
-//! rounds.
+//! The fleet runtime: the one socket driver around the sans-IO
+//! [`RoundEngine`](crate::RoundEngine). It owns the reactor threads,
+//! the accept loop and the MAC-conclusion worker pool **across**
+//! rounds, so a sustained sweep pays the setup cost once:
 //!
-//! [`MultiGateway::drive_round`](crate::MultiGateway::drive_round)
-//! rebuilds its world every round: reactors are spawned as scoped
-//! threads, mail channels and settled flags are allocated fresh, and
-//! every `conclude_batch` raises its own worker pool. That tax is
-//! invisible on a one-shot round and ruinous on a *sustained* sweep —
-//! continuous attestation drives thousands of rounds back-to-back, and
-//! the spawn/join cost serializes against every one of them.
-//! [`FleetRuntime`] pays the setup cost once:
-//!
-//! * **Persistent reactors.** Each reactor thread is spawned at
-//!   construction, owns its connection slab for life, and *parks* on
-//!   its mail inbox between rounds. A round arrives as a
-//!   [`ReactorMsg::Begin`] descriptor over the same channel that
-//!   carries cross-reactor mail; per-round scratch — deframers, write
-//!   queues, the inbound evidence batch, the transmit staging buffer,
-//!   the cohort partition vectors — is reused, not reallocated.
+//! * **Persistent reactors.** Each reactor thread ([`crate::reactor`])
+//!   is spawned at construction, owns its connection slab for life,
+//!   and *parks* on its mail inbox between rounds. A round arrives as a
+//!   `Begin` descriptor over the same channel that carries
+//!   cross-reactor mail; per-round scratch — deframers, write queues,
+//!   the inbound evidence batch, the transmit staging buffer, the
+//!   cohort partition vectors — is reused, not reallocated.
 //! * **Shared conclude pool.** A fixed pool of MAC workers serves
 //!   every reactor's batches for the lifetime of the runtime
 //!   ([`FleetVerifier::conclude_batch_pooled`]); no round spawns a
 //!   thread.
 //! * **Accept supervision.** The runtime owns the listener; the driver
-//!   thread accepts and hands off connections whenever it waits on
-//!   epoch completions, exactly as the scoped supervisor did per-round.
+//!   thread accepts and hands off connections round-robin whenever it
+//!   waits on (or polls for) epoch completions.
+//!
+//! # Routing and hellos
+//!
+//! Devices are **not pinned to a connection**. Every inbound
+//! [`Envelope`](apex_pox::wire::Envelope) names a device id, and the
+//! runtime remembers "frames from device *d* arrived on connection
+//! *c*" (last arrival wins). An envelope with an **empty payload** is a
+//! *hello*: pure routing information, recorded and never judged —
+//! [`announce_devices`](crate::stream::announce_devices) sends one per
+//! hosted device right after connecting. Challenges for devices with no
+//! known connection are parked until a hello (or any frame) reveals
+//! one; a device that never connects simply expires at its deadline. A
+//! hello naming a device the registry has never enrolled still routes
+//! (enrollment may be seconds away) but is counted in
+//! [`ReactorStats::unknown_device_hellos`].
+//!
+//! # Lifecycle and failure
+//!
+//! Connections are serviced strictly without blocking: a partial write
+//! leaves bytes in the connection's [`WriteQueue`](crate::WriteQueue)
+//! (`WouldBlock` is backpressure, never a wedged loop), and a
+//! connection that hangs up, breaks, overflows its write queue, floods
+//! the route map past [`MAX_ROUTED_PER_CONN`](crate::MAX_ROUTED_PER_CONN),
+//! or poisons its deframer with an oversized frame is dropped — every
+//! device whose challenge was *delivered* on it and still owes its
+//! epoch a response is charged [`FleetError::NoResponse`] on the spot,
+//! because its path to the verifier is gone. Charging keys on the
+//! delivery record rather than the (hello-controlled, last-wins) route
+//! map, so a connection cannot falsify the verdict of a device it never
+//! carried by announcing that device's id and hanging up.
+//!
+//! Wall-clock budgets map onto engine ticks: the clock lives in the
+//! reactors, the engines only ever see
+//! [`LogicalTime`](crate::LogicalTime). Budgets round **up** to whole
+//! milliseconds and never below one tick
+//! ([`RoundConfig::realtime`](crate::RoundConfig::realtime)), so delay
+//! can turn a verdict into `NoResponse` and into nothing else.
 //!
 //! # Pipelined epochs
 //!
@@ -38,7 +67,7 @@
 //! *and* pipeline depths because every outcome is charged to the epoch
 //! that challenged its device (cohorts in flight are disjoint — see
 //! [`LifecycleConfig::pipeline_window`](crate::LifecycleConfig)), and
-//! the merge re-canonicalizes exactly as the scoped gateway does.
+//! the merge re-canonicalizes per epoch ([`crate::reactor`]).
 //!
 //! Verdict attribution under churn follows the engines: an eviction
 //! landing while several epochs are in flight settles as
@@ -95,9 +124,11 @@ impl PendingEpoch {
 /// docs](self) for the architecture; construction is
 /// [`over`](FleetRuntime::over) / [`detached`](FleetRuntime::detached)
 /// / [`bind_tcp`](FleetRuntime::bind_tcp), driving is
-/// [`run_round`](FleetRuntime::run_round) for the drop-in serial shape
-/// or [`submit_round`](FleetRuntime::submit_round) +
-/// [`wait_round`](FleetRuntime::wait_round) for pipelined epochs.
+/// [`run_round`](FleetRuntime::run_round) for the serial shape,
+/// [`submit_round`](FleetRuntime::submit_round) +
+/// [`wait_round`](FleetRuntime::wait_round) for pipelined epochs, or
+/// [`poll_round`](FleetRuntime::poll_round) when the driving thread has
+/// its own work to interleave.
 ///
 /// Dropping the runtime shuts everything down: reactors are told to
 /// exit, the conclude pool is detached from the registry and drained,
@@ -212,8 +243,8 @@ where
             .collect();
         fleet.attach_conclude_pool(job_tx, Arc::downgrade(&fleet), pool_size);
 
-        // Each reactor's in-reactor conclude share mirrors the scoped
-        // gateway's split of the machine.
+        // Each reactor's fallback conclude share (used only while no
+        // pool is attached) splits the machine evenly across reactors.
         let workers = (fleet.parallelism() / reactors).max(1);
         let live_epochs = Arc::new(AtomicUsize::new(0));
         let reactor_handles = inboxes
@@ -340,16 +371,10 @@ where
         let mut accepted = 0;
         while let Some(listener) = self.listener.as_mut() {
             match listener.poll_accept() {
-                Ok(Some(mut conn)) => {
-                    if conn.prepare().is_ok() {
-                        self.accepted_total += 1;
-                        let _ = self.mates[self.next_reactor].send(ReactorMsg::Conn(conn));
-                        self.next_reactor = (self.next_reactor + 1) % self.mates.len();
-                        accepted += 1;
-                    } else {
-                        self.accept_errors += 1;
-                    }
-                }
+                Ok(Some(conn)) => match self.adopt(conn) {
+                    Ok(()) => accepted += 1,
+                    Err(_) => self.accept_errors += 1,
+                },
                 Ok(None) => break,
                 Err(_) => {
                     self.accept_errors += 1;
@@ -371,7 +396,7 @@ where
     /// challenge is issued, nothing is submitted).
     pub fn submit_round(&mut self, ids: &[DeviceId], budget: Duration) -> Result<u64, FleetError> {
         // Validate and dedupe globally before any challenge is issued,
-        // exactly as the scoped gateway does.
+        // so an unknown id fails the whole round.
         let mut seen = HashSet::new();
         let mut order = Vec::new();
         for &id in ids {
@@ -425,31 +450,54 @@ where
 
     /// Blocks — supervising accepts — until the epoch behind `ticket`
     /// has settled on every reactor, then merges its partial reports
-    /// canonically (identical to the scoped gateway's merge: challenge
-    /// order first, leftovers grouped by reactor index).
+    /// canonically (challenge order first, leftovers grouped by reactor
+    /// index).
     ///
     /// Completions are cached, so tickets may be awaited in any order.
     ///
     /// # Errors
     ///
     /// The first reactor error for that epoch, or
-    /// [`FleetError::UnknownDevice`] for a ticket never submitted.
+    /// [`FleetError::UnknownTicket`] for a ticket never submitted (or
+    /// already taken).
     pub fn wait_round(&mut self, ticket: u64) -> Result<RoundReport, FleetError> {
         loop {
-            if let Some(result) = self.merged.remove(&ticket) {
+            if let Some(result) = self.take_round(ticket) {
                 return result;
-            }
-            if !self.pending.iter().any(|p| p.epoch == ticket) {
-                return Err(FleetError::UnknownDevice(DeviceId(ticket)));
             }
             self.pump(true);
         }
     }
 
-    /// Submits one round and waits for its report: the drop-in,
-    /// depth-agnostic equivalent of
-    /// [`MultiGateway::drive_round`](crate::MultiGateway::drive_round),
-    /// minus the per-round thread spawns.
+    /// The non-blocking [`wait_round`](FleetRuntime::wait_round): one
+    /// supervision step (accepts, epoch completions, merges), then the
+    /// epoch's report if it has settled on every reactor, or `None`
+    /// while it is still in flight. For drivers that must do their own
+    /// work on this thread between polls — say, servicing simulated
+    /// provers that cannot leave it.
+    ///
+    /// Returns `Some(Err(`[`FleetError::UnknownTicket`]`))` for a ticket
+    /// never submitted (or already taken).
+    pub fn poll_round(&mut self, ticket: u64) -> Option<Result<RoundReport, FleetError>> {
+        self.pump(false);
+        self.take_round(ticket)
+    }
+
+    /// The merged report behind `ticket` if it is ready, an
+    /// `UnknownTicket` error if the ticket names no epoch, `None` while
+    /// it is still in flight.
+    fn take_round(&mut self, ticket: u64) -> Option<Result<RoundReport, FleetError>> {
+        if let Some(result) = self.merged.remove(&ticket) {
+            return Some(result);
+        }
+        if self.pending.iter().any(|p| p.epoch == ticket) {
+            None
+        } else {
+            Some(Err(FleetError::UnknownTicket(ticket)))
+        }
+    }
+
+    /// Submits one round and waits for its report.
     ///
     /// # Errors
     ///
@@ -512,7 +560,7 @@ where
 
     fn absorb_done(&mut self, done: EpochDone) {
         self.stats[done.reactor] = done.stats;
-        if !done.cohort.is_empty() || done.cohort.capacity() > 0 {
+        if done.cohort.capacity() > 0 {
             self.partition_pool.push(done.cohort);
         }
         if let Some(p) = self.pending.iter_mut().find(|p| p.epoch == done.epoch) {

@@ -1,20 +1,25 @@
 //! Fleet verification over a real socket.
 //!
 //! The verifier and the provers share nothing but a byte stream: a
-//! prover-host thread builds three simulated MCUs and serves
-//! length-prefixed `Envelope` frames over its end of a socketpair; the
-//! verifier drives the sans-IO `RoundEngine` through a
-//! `StreamTransport` on the other end. One device is scripted to stay
-//! silent, so the round also shows a deadline resolving to
-//! `NoResponse` without ever stalling the devices that did answer.
+//! prover-host thread builds three simulated MCUs, announces them with
+//! hello frames and serves length-prefixed `Envelope` frames over its
+//! end of a socketpair; the verifier drives the sans-IO `RoundEngine`
+//! through a single-reactor `FleetRuntime` that adopted the other end.
+//! One device is scripted to stay silent, so the round also shows a
+//! deadline resolving to `NoResponse` without ever stalling the
+//! devices that did answer.
 //!
 //! Run with: `cargo run --example fleet_socket`
 
 use apex_pox::wire::Envelope;
 use asap::{programs, Device, PoxMode, VerifierSpec};
-use asap_fleet::{drive_round, serve_frames, DeviceId, FleetVerifier, StreamTransport};
+use asap_fleet::{
+    announce_devices, serve_frames, DeviceId, FleetRuntime, FleetVerifier, NoListener,
+};
 use std::collections::HashMap;
 use std::error::Error;
+use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn key_for(id: DeviceId) -> Vec<u8> {
@@ -29,7 +34,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // spec. Note there is no Device anywhere on this side — only keys,
     // specs and bytes.
     let image = programs::fig4_authorized()?;
-    let fleet = FleetVerifier::new();
+    let fleet = Arc::new(FleetVerifier::new());
     for &id in &ids {
         fleet.register(
             id,
@@ -38,9 +43,15 @@ fn main() -> Result<(), Box<dyn Error>> {
         )?;
     }
 
+    // The runtime adopts the verifier end of a socketpair: one reactor
+    // thread, one round in flight at a time.
+    let mut runtime: FleetRuntime<NoListener<UnixStream>> =
+        FleetRuntime::detached(Arc::clone(&fleet), 1, 1);
+    let (verifier_end, mut prover_stream) = UnixStream::pair()?;
+    runtime.adopt(verifier_end)?;
+
     // Prover host: its own thread, its own devices, nothing shared but
     // the socket. Device 3 is "partitioned" and never answers.
-    let (mut transport, prover_stream) = StreamTransport::pair()?;
     let host_ids = ids.clone();
     let host = std::thread::spawn(move || {
         let image = programs::fig4_authorized().expect("image links");
@@ -57,6 +68,8 @@ fn main() -> Result<(), Box<dyn Error>> {
                 (id, device)
             })
             .collect();
+        // Hellos tell the runtime which connection carries which device.
+        announce_devices(&mut prover_stream, &host_ids).expect("announce");
         serve_frames(prover_stream, move |id, envelope| {
             if id == silent {
                 return None; // models a crashed/partitioned prover
@@ -66,10 +79,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         });
     });
 
-    // One round: challenges out, responses (or silence) back, every
-    // read timeout becoming a tick of logical time.
+    // One round: challenges out, responses (or silence) back, elapsed
+    // wall-clock milliseconds becoming ticks of logical time.
     println!("challenging {} devices over the socket…", ids.len());
-    let report = drive_round(&fleet, &ids, &mut transport, Duration::from_millis(500))?;
+    let report = runtime.run_round(&ids, Duration::from_millis(500))?;
 
     for &id in &ids {
         match report.outcome_for(id).map(|o| &o.result) {
@@ -89,7 +102,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         report.no_response()
     );
 
-    drop(transport); // hang up; the prover host sees EOF and exits
+    drop(runtime); // hang up; the prover host sees EOF and exits
     host.join().expect("prover host exits cleanly");
     Ok(())
 }

@@ -198,10 +198,10 @@ mod envelope_golden {
     }
 
     // -----------------------------------------------------------------
-    // Stream framing: `len (u32 LE) ‖ envelope`, as spoken by
-    // `StreamTransport` over TCP/UDS. The prefix is the envelope's
-    // byte length, so each golden stream vector is the length prefix
-    // followed by the corresponding envelope vector.
+    // Stream framing: `len (u32 LE) ‖ envelope`, as spoken between a
+    // `FleetRuntime` and its provers over TCP/UDS. The prefix is the
+    // envelope's byte length, so each golden stream vector is the
+    // length prefix followed by the corresponding envelope vector.
     // -----------------------------------------------------------------
 
     use apex_pox::wire::{frame_stream, StreamDeframer, WireError, MAX_FRAME_LEN};

@@ -10,8 +10,8 @@ use apex_pox::wire::{frame_stream, Envelope};
 use asap::{programs, PoxMode, VerifierSpec};
 use asap_bench::fleet::{GatewayTransport, Scenario, ScenarioHarness, ScenarioMix};
 use asap_fleet::{
-    DeviceId, DeviceState, FleetDirectory, FleetError, FleetGateway, FleetVerifier,
-    LifecycleConfig, MultiGateway, SHARD_COUNT,
+    DeviceId, DeviceState, EpochPlan, FleetDirectory, FleetError, FleetRuntime, FleetVerifier,
+    LifecycleConfig, NoListener, RoundReport, SHARD_COUNT,
 };
 use std::collections::HashMap;
 use std::io::Write;
@@ -37,6 +37,33 @@ fn shared_spec() -> Arc<VerifierSpec> {
     )
 }
 
+/// A detached runtime over `dir`'s registry: one reactor, pipeline
+/// depth 1.
+fn runtime_for(dir: &FleetDirectory) -> FleetRuntime<NoListener<UnixStream>> {
+    FleetRuntime::detached(dir.fleet_arc(), 1, 1)
+}
+
+/// One epoch through `runtime`, as a single-epoch pipelined run.
+fn run_epoch(
+    dir: &FleetDirectory,
+    runtime: &mut FleetRuntime<NoListener<UnixStream>>,
+) -> (EpochPlan, RoundReport) {
+    dir.run_epochs_runtime(runtime, 1, BUDGET)
+        .unwrap()
+        .pop()
+        .unwrap()
+}
+
+/// Hello frames naming never-enrolled devices, summed over every
+/// reactor (as of each reactor's latest epoch completion).
+fn unknown_hellos(runtime: &FleetRuntime<NoListener<UnixStream>>) -> u64 {
+    runtime
+        .reactor_stats()
+        .iter()
+        .map(|s| s.unknown_device_hellos)
+        .sum()
+}
+
 /// A directory with devices `1..=n` enrolled (still `Joining` until the
 /// first epoch boundary).
 fn directory_of(n: u64, config: LifecycleConfig) -> FleetDirectory {
@@ -49,19 +76,19 @@ fn directory_of(n: u64, config: LifecycleConfig) -> FleetDirectory {
     dir
 }
 
-/// Epoch-sampled rounds over a real gateway: a fleet larger than the
+/// Epoch-sampled rounds over a real runtime: a fleet larger than the
 /// cohort is attested a partial round at a time, every cohort verifies
 /// in full, and one rotation cycle covers every device exactly once —
-/// while the gateway's hello routes persist across epochs.
+/// while the runtime's hello routes persist across epochs.
 #[test]
 fn epoch_rounds_attest_the_rotation_over_a_gateway() {
     const FLEET: u64 = 12;
     const COHORT: usize = 4;
     let dir = directory_of(FLEET, LifecycleConfig::new().cohort(COHORT).seed(5));
 
-    let mut gateway = FleetGateway::detached();
-    let (gw_end, prover_end) = UnixStream::pair().unwrap();
-    gateway.adopt(gw_end).unwrap();
+    let mut runtime = runtime_for(&dir);
+    let (rt_end, prover_end) = UnixStream::pair().unwrap();
+    runtime.adopt(rt_end).unwrap();
     let all: Vec<DeviceId> = (1..=FLEET).map(DeviceId).collect();
 
     let (ready_tx, ready_rx) = mpsc::channel();
@@ -75,7 +102,7 @@ fn epoch_rounds_attest_the_rotation_over_a_gateway() {
 
         let mut attested: HashMap<DeviceId, usize> = HashMap::new();
         for epoch in 1..=(FLEET as usize / COHORT) {
-            let (plan, report) = dir.run_epoch_gateway(&mut gateway, BUDGET).unwrap();
+            let (plan, report) = run_epoch(&dir, &mut runtime);
             assert_eq!(plan.epoch, epoch as u64);
             assert_eq!(plan.cohort.len(), COHORT, "partial rounds, never the fleet");
             assert_eq!(report.verified(), COHORT, "epoch {epoch}: {report:?}");
@@ -89,9 +116,9 @@ fn epoch_rounds_attest_the_rotation_over_a_gateway() {
             "one cycle attests every device exactly once: {attested:?}"
         );
         assert_eq!(dir.fleet().in_flight(), 0);
-        // Dropping the gateway hangs up the prover host's connection,
+        // Dropping the runtime hangs up the prover host's connection,
         // letting its serve loop (and thread) finish.
-        drop(gateway);
+        drop(runtime);
     });
 }
 
@@ -106,9 +133,9 @@ fn churn_between_epochs_respects_joins_and_leaves() {
     let late = DeviceId(99);
     let dir = directory_of(FLEET, LifecycleConfig::new().cohort(8).seed(2));
 
-    let mut gateway = FleetGateway::detached();
-    let (gw_end, prover_end) = UnixStream::pair().unwrap();
-    gateway.adopt(gw_end).unwrap();
+    let mut runtime = runtime_for(&dir);
+    let (rt_end, prover_end) = UnixStream::pair().unwrap();
+    runtime.adopt(rt_end).unwrap();
     // The prover host serves devices 1..=4 AND 99 — announcing 99's
     // hello before the verifier has ever heard of it.
     let mut hosted: Vec<DeviceId> = (1..=FLEET).map(DeviceId).collect();
@@ -125,11 +152,11 @@ fn churn_between_epochs_respects_joins_and_leaves() {
 
         // Epoch 1: the four enrolled devices verify; 99's hello routes
         // silently but is counted against the registry.
-        let (plan, report) = dir.run_epoch_gateway(&mut gateway, BUDGET).unwrap();
+        let (plan, report) = run_epoch(&dir, &mut runtime);
         assert_eq!(plan.cohort.len(), 4);
         assert_eq!(report.verified(), 4);
         assert_eq!(
-            gateway.unknown_device_hellos(),
+            unknown_hellos(&runtime),
             1,
             "a never-enrolled hello routes but must not go uncounted"
         );
@@ -141,7 +168,7 @@ fn churn_between_epochs_respects_joins_and_leaves() {
 
         // Epoch 2: 99 is challenged over the route its hello recorded
         // last epoch; 2 is gone for good.
-        let (plan, report) = dir.run_epoch_gateway(&mut gateway, BUDGET).unwrap();
+        let (plan, report) = run_epoch(&dir, &mut runtime);
         assert!(
             plan.cohort.contains(&late),
             "joined → challenged next epoch"
@@ -152,7 +179,7 @@ fn churn_between_epochs_respects_joins_and_leaves() {
 
         assert_eq!(dir.state_of(DeviceId(2)), Some(DeviceState::Evicted));
         assert_eq!(dir.state_of(late), Some(DeviceState::Active));
-        drop(gateway);
+        drop(runtime);
     });
 }
 
@@ -174,9 +201,9 @@ fn rekey_applies_at_the_boundary_and_the_device_keeps_verifying() {
     )
     .unwrap();
 
-    let mut gateway = FleetGateway::detached();
-    let (gw_end, prover_end) = UnixStream::pair().unwrap();
-    gateway.adopt(gw_end).unwrap();
+    let mut runtime = runtime_for(&dir);
+    let (rt_end, prover_end) = UnixStream::pair().unwrap();
+    runtime.adopt(rt_end).unwrap();
 
     let (ready_tx, ready_rx) = mpsc::channel();
     std::thread::scope(|scope| {
@@ -188,18 +215,18 @@ fn rekey_applies_at_the_boundary_and_the_device_keeps_verifying() {
         ready_rx.recv().unwrap();
 
         // Epoch 1: the key mismatch rejects the honest device.
-        let (_, report) = dir.run_epoch_gateway(&mut gateway, BUDGET).unwrap();
+        let (_, report) = run_epoch(&dir, &mut runtime);
         assert!(matches!(report.of(id), Some(&Err(FleetError::Rejected(_)))));
 
         // Stage the real key; it applies at the next boundary.
         assert!(dir.rekey(id, &key_for(id)));
         assert_eq!(dir.state_of(id), Some(DeviceState::Rekeying));
 
-        let (plan, report) = dir.run_epoch_gateway(&mut gateway, BUDGET).unwrap();
+        let (plan, report) = run_epoch(&dir, &mut runtime);
         assert!(plan.cohort.contains(&id));
         assert!(matches!(report.of(id), Some(&Ok(_))));
         assert_eq!(dir.state_of(id), Some(DeviceState::Active));
-        drop(gateway);
+        drop(runtime);
     });
 }
 
@@ -214,7 +241,7 @@ fn parked_challenge_racing_eviction_is_deterministic_across_reactor_counts() {
 
     let run = |reactors: usize| -> asap_fleet::RoundReport {
         let image = programs::fig4_authorized().unwrap();
-        let fleet = FleetVerifier::new();
+        let fleet = Arc::new(FleetVerifier::new());
         let honest: Vec<DeviceId> = (1..=4).map(DeviceId).collect();
         for &id in &honest {
             fleet
@@ -237,9 +264,10 @@ fn parked_challenge_racing_eviction_is_deterministic_across_reactor_counts() {
             )
             .unwrap();
 
-        let mut gateway = MultiGateway::detached(reactors);
-        let (gw_end, prover_end) = UnixStream::pair().unwrap();
-        gateway.adopt(gw_end).unwrap();
+        let mut runtime: FleetRuntime<NoListener<UnixStream>> =
+            FleetRuntime::detached(Arc::clone(&fleet), reactors, 1);
+        let (rt_end, prover_end) = UnixStream::pair().unwrap();
+        runtime.adopt(rt_end).unwrap();
 
         let (ready_tx, ready_rx) = mpsc::channel();
         let mut ids = honest.clone();
@@ -263,10 +291,8 @@ fn parked_challenge_racing_eviction_is_deterministic_across_reactor_counts() {
                 std::thread::sleep(Duration::from_millis(120));
                 assert!(fleet_ref.remove(ghost));
             });
-            let report = gateway
-                .drive_round(fleet_ref, &ids, Duration::from_millis(800))
-                .unwrap();
-            drop(gateway);
+            let report = runtime.run_round(&ids, Duration::from_millis(800)).unwrap();
+            drop(runtime);
             report
         });
 
@@ -306,7 +332,7 @@ fn seeded_churn_schedule_is_byte_identical_across_reactor_counts() {
         .into_iter()
         .map(|reactors| {
             let mut harness = ScenarioHarness::build(0x11FE_C7C1, &mix);
-            let run = harness.run_round_multi(
+            let run = harness.run_round_runtime(
                 reactors,
                 GatewayTransport::Socketpair,
                 Duration::from_millis(800),
@@ -336,13 +362,13 @@ fn seeded_churn_schedule_is_byte_identical_across_reactor_counts() {
     assert_eq!(reports[0], reports[2], "1 vs 4 reactors");
 }
 
-/// The unknown-device hello stat on the sharded gateway: each reactor
+/// The unknown-device hello stat on a sharded runtime: each reactor
 /// counts the never-enrolled hellos it read, surfaced per reactor via
 /// `reactor_stats()`.
 #[test]
 fn unknown_hellos_are_counted_on_reactor_stats() {
     let id = DeviceId(1);
-    let fleet = FleetVerifier::new();
+    let fleet = Arc::new(FleetVerifier::new());
     fleet
         .register(
             id,
@@ -353,9 +379,10 @@ fn unknown_hellos_are_counted_on_reactor_stats() {
         )
         .unwrap();
 
-    let mut gateway = MultiGateway::detached(2);
-    let (gw_end, prover_end) = UnixStream::pair().unwrap();
-    gateway.adopt(gw_end).unwrap();
+    let mut runtime: FleetRuntime<NoListener<UnixStream>> =
+        FleetRuntime::detached(Arc::clone(&fleet), 2, 1);
+    let (rt_end, prover_end) = UnixStream::pair().unwrap();
+    runtime.adopt(rt_end).unwrap();
 
     let (ready_tx, ready_rx) = mpsc::channel();
     std::thread::scope(|scope| {
@@ -372,15 +399,14 @@ fn unknown_hellos_are_counted_on_reactor_stats() {
             });
         });
         ready_rx.recv().unwrap();
-        let report = gateway.drive_round(&fleet, &[id], BUDGET).unwrap();
+        let report = runtime.run_round(&[id], BUDGET).unwrap();
         assert_eq!(report.verified(), 1);
-        let unknown: u64 = gateway
-            .reactor_stats()
-            .iter()
-            .map(|s| s.unknown_device_hellos)
-            .sum();
-        assert_eq!(unknown, 2, "both ghost hellos counted, none judged");
-        drop(gateway);
+        assert_eq!(
+            unknown_hellos(&runtime),
+            2,
+            "both ghost hellos counted, none judged"
+        );
+        drop(runtime);
     });
 }
 

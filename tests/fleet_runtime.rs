@@ -1,16 +1,21 @@
-//! The persistent fleet runtime end to end: reactors that park between
-//! rounds instead of being re-spawned, the shared MAC-conclusion pool,
-//! pipelined epochs with byte-identical per-epoch reports across every
-//! reactor count *and* pipeline depth, verdict attribution under churn
-//! with several epochs in flight, and online shard growth under live
-//! rounds with no pause and no verdict changes.
+//! The persistent fleet runtime end to end: rounds over a real socket
+//! (socketpairs and a TCP listener, provers served from another thread
+//! that shares nothing but bytes, silence and hangups resolved by
+//! deadline), reactors that park between rounds instead of being
+//! re-spawned, the shared MAC-conclusion pool, pipelined epochs with
+//! byte-identical per-epoch reports across every reactor count *and*
+//! pipeline depth, verdict attribution under churn with several epochs
+//! in flight, and online shard growth under live rounds with no pause
+//! and no verdict changes.
 
+use apex_pox::wire::{frame_stream, Envelope, StreamDeframer};
 use asap::{programs, PoxMode, VerifierSpec};
-use asap_bench::fleet::host_gateway_provers;
+use asap_bench::fleet::{host_gateway_provers, DetRng};
 use asap_fleet::{
     DeviceId, EpochPlan, FleetDirectory, FleetError, FleetRuntime, FleetVerifier, LifecycleConfig,
     NoListener, RoundReport,
 };
+use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
@@ -131,7 +136,16 @@ fn unknown_devices_and_tickets_are_rejected() {
         Err(FleetError::UnknownDevice(stranger))
     );
     assert_eq!(runtime.in_flight_epochs(), 0, "no partial submission");
-    assert!(runtime.wait_round(7).is_err(), "ticket 7 was never issued");
+    assert_eq!(
+        runtime.wait_round(7),
+        Err(FleetError::UnknownTicket(7)),
+        "ticket 7 was never issued"
+    );
+    assert_eq!(
+        runtime.poll_round(7),
+        Some(Err(FleetError::UnknownTicket(7))),
+        "polling an unissued ticket errors instead of pending forever"
+    );
     assert_eq!(
         fleet.in_flight(),
         0,
@@ -462,6 +476,128 @@ fn directory_drives_pipelined_epochs_through_the_runtime() {
             plan.epoch
         );
     }
+    drop(runtime);
+    host.join().unwrap();
+}
+
+/// A detached single-reactor runtime over `ids`, for the plain socket
+/// rounds below.
+fn single_reactor_runtime(ids: &[DeviceId]) -> FleetRuntime<NoListener<UnixStream>> {
+    FleetRuntime::detached(fleet_of(ids, 4), 1, 1)
+}
+
+#[test]
+fn socketpair_round_verifies_every_device() {
+    let ids: Vec<DeviceId> = (1..=4).map(DeviceId).collect();
+    let mut runtime = single_reactor_runtime(&ids);
+    let (rt_end, prover_end) = UnixStream::pair().unwrap();
+    runtime.adopt(rt_end).unwrap();
+    let host = spawn_host(prover_end, ids.clone(), Vec::new());
+
+    let report = runtime.run_round(&ids, Duration::from_secs(5)).unwrap();
+    assert_eq!(report.verified(), ids.len(), "{:#?}", report.outcomes);
+    assert_eq!(runtime.fleet().in_flight(), 0, "rounds never leak sessions");
+
+    drop(runtime); // hang up: the prover host sees EOF and returns
+    host.join().unwrap();
+}
+
+#[test]
+fn silent_prover_times_out_as_no_response_only() {
+    let ids: Vec<DeviceId> = (1..=3).map(DeviceId).collect();
+    let silent = DeviceId(2);
+    let mut runtime = single_reactor_runtime(&ids);
+    let (rt_end, prover_end) = UnixStream::pair().unwrap();
+    runtime.adopt(rt_end).unwrap();
+    let host = spawn_host(prover_end, ids.clone(), vec![silent]);
+
+    // The budget bounds the wall-clock cost of the silent device; the
+    // answering devices settle as soon as their frames arrive.
+    let report = runtime.run_round(&ids, Duration::from_millis(400)).unwrap();
+    assert_eq!(
+        report.of(silent),
+        Some(&Err(FleetError::NoResponse(silent))),
+        "the elapsed budget surfaced as ticks that expired the deadline"
+    );
+    assert_eq!(report.verified(), 2, "silence never stalls the others");
+    assert_eq!(runtime.fleet().in_flight(), 0);
+
+    drop(runtime);
+    host.join().unwrap();
+}
+
+#[test]
+fn peer_hangup_settles_the_round_by_deadline() {
+    let ids: Vec<DeviceId> = (1..=2).map(DeviceId).collect();
+    let mut runtime = single_reactor_runtime(&ids);
+    let (rt_end, prover_end) = UnixStream::pair().unwrap();
+    runtime.adopt(rt_end).unwrap();
+    drop(prover_end); // nobody home
+
+    let report = runtime.run_round(&ids, Duration::from_millis(200)).unwrap();
+    let stats = runtime.reactor_stats();
+    assert_eq!(stats[0].dropped_connections, 1, "EOF reaps the connection");
+    assert_eq!(runtime.connections(), 0);
+    assert_eq!(report.verified(), 0);
+    for &id in &ids {
+        assert_eq!(report.of(id), Some(&Err(FleetError::NoResponse(id))));
+    }
+    assert_eq!(runtime.fleet().in_flight(), 0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Adversarial segmentation: any sequence of frames, delivered in
+    /// chunks split at arbitrary byte boundaries (1-byte reads
+    /// included), deframes to the identical frame sequence — each
+    /// frame surfacing exactly once, in order, with nothing left over.
+    #[test]
+    fn any_segmentation_deframes_to_the_same_frames(
+        payload_lens in proptest::collection::vec(0usize..300, 1..6),
+        split_seed in any::<u64>(),
+    ) {
+        let frames: Vec<Vec<u8>> = payload_lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| Envelope::wrap(i as u64, vec![i as u8; len]).to_bytes())
+            .collect();
+        let stream: Vec<u8> = frames.iter().flat_map(|f| frame_stream(f)).collect();
+
+        // Seed-drawn cuts, biased hard toward tiny reads so length
+        // prefixes and frame boundaries get split mid-field often.
+        let mut rng = DetRng::new(split_seed);
+        let mut deframer = StreamDeframer::new();
+        let mut got = Vec::new();
+        let mut offset = 0;
+        while offset < stream.len() {
+            let n = 1 + rng.below(7.min(stream.len() - offset));
+            deframer.extend(&stream[offset..offset + n]);
+            offset += n;
+            while let Some(frame) = deframer.next_frame().unwrap() {
+                got.push(frame);
+            }
+        }
+        prop_assert_eq!(got, frames);
+        prop_assert_eq!(deframer.pending(), 0, "no bytes left behind");
+    }
+}
+
+#[test]
+fn tcp_round_verifies_over_a_real_listener() {
+    let ids: Vec<DeviceId> = (1..=3).map(DeviceId).collect();
+    let mut runtime = FleetRuntime::bind_tcp("127.0.0.1:0", fleet_of(&ids, 4), 1, 1).unwrap();
+    let addr = runtime.listener().unwrap().local_addr().unwrap();
+    let hosted = ids.clone();
+    let host = std::thread::spawn(move || {
+        let stream = TcpStream::connect(addr).unwrap();
+        host_gateway_provers(stream, &hosted, key_for, &[], || ());
+    });
+
+    let report = runtime.run_round(&ids, Duration::from_secs(5)).unwrap();
+    assert_eq!(report.verified(), ids.len(), "{:#?}", report.outcomes);
+    assert_eq!(runtime.fleet().in_flight(), 0);
+
     drop(runtime);
     host.join().unwrap();
 }
