@@ -8,7 +8,13 @@ Every ablation arm recorded under `steps_per_sec` in both files —
 checked-in baseline. Derived ratios (`speedup`, `superblock_speedup`)
 are reported but not gated: they move whenever one arm wobbles, and
 the per-arm floors already bound both numerator and denominator.
-`attestations_per_sec` rides the same 65% floor.
+
+`attestations_per_sec` and `macs_per_sec` (the `mac` arm) ride the same
+65% floor, but only when the baseline and the fresh run report the same
+`mac_path`: both are mostly MAC time, and SHA-NI and the scalar SHA-256
+differ by several times, so comparing across paths would either fail
+every scalar runner or guard nothing on SHA-NI ones. When the paths
+differ the script says so and skips both.
 
 Smoke runs measure tiny workloads on shared runners, so the tolerance
 is loose by design: the gate exists to catch a pipeline arm getting
@@ -58,12 +64,21 @@ def main():
                 f"fresh {fresh_arms[name]:.2f}x (not gated)"
             )
 
-    if "attestations_per_sec" in baseline and "attestations_per_sec" in fresh:
-        b, f = baseline["attestations_per_sec"], fresh["attestations_per_sec"]
+    b_path, f_path = baseline.get("mac_path"), fresh.get("mac_path")
+    for metric in ("attestations_per_sec", "macs_per_sec"):
+        if metric not in baseline or metric not in fresh:
+            continue
+        b, f = baseline[metric], fresh[metric]
+        if b_path != f_path:
+            print(
+                f"{metric}: not gated: baseline ran on mac_path {b_path!r}, "
+                f"this run on {f_path!r} (baseline {b:.0f}/s, fresh {f:.0f}/s)"
+            )
+            continue
         ratio = f / b
-        print(f"attestations_per_sec: baseline {b:.0f}/s, fresh {f:.0f}/s ({ratio:.2f}x)")
+        print(f"{metric}[{f_path}]: baseline {b:.0f}/s, fresh {f:.0f}/s ({ratio:.2f}x)")
         if ratio < TOLERANCE:
-            failed.append("attestations_per_sec")
+            failed.append(metric)
 
     if failed:
         sys.exit(

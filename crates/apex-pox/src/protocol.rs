@@ -8,11 +8,11 @@
 //! and produced the *claimed* outputs.
 
 use openmsp430::mem::MemRegion;
-use pox_crypto::hmac::ct_eq;
+use pox_crypto::hmac::{ct_eq, HmacKey};
 use std::error::Error;
 use std::fmt;
 use vrased::protocol::Challenge;
-use vrased::swatt::{attest, MeasuredItem, MAC_LEN};
+use vrased::swatt::{Transcript, CHAL_LEN, MAC_LEN};
 
 /// Measurement labels (domain separation within the SW-Att transcript).
 pub mod labels {
@@ -50,38 +50,56 @@ pub struct PoxResponse {
     pub mac: [u8; MAC_LEN],
 }
 
-/// Builds the measured-item list for a PoX measurement. Both the prover
-/// (over device memory) and the verifier (over expected contents) use
-/// this to guarantee transcript agreement.
-pub fn pox_items(
-    exec: bool,
-    er: MemRegion,
-    er_bytes: &[u8],
-    or: MemRegion,
-    or_bytes: &[u8],
-    ivt: Option<(MemRegion, &[u8])>,
-) -> Vec<MeasuredItem> {
-    let mut items = vec![
-        MeasuredItem::value(labels::EXEC, vec![exec as u8]),
-        MeasuredItem {
-            label: labels::ER.to_string(),
-            start: er.start(),
-            bytes: er_bytes.to_vec(),
-        },
-        MeasuredItem {
-            label: labels::OR.to_string(),
-            start: or.start(),
-            bytes: or_bytes.to_vec(),
-        },
-    ];
-    if let Some((region, bytes)) = ivt {
-        items.push(MeasuredItem {
-            label: labels::IVT.to_string(),
-            start: region.start(),
-            bytes: bytes.to_vec(),
-        });
+/// What a PoX measurement covers: `EXEC ‖ ER ‖ OR (‖ IVT)`, each region
+/// with its start address. Both the prover (over device memory) and the
+/// verifier (over expected contents) build one, which guarantees
+/// transcript agreement; neither copies a region to do so.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoxMeasurement<'a> {
+    /// The `EXEC` flag.
+    pub exec: bool,
+    /// The executable region.
+    pub er: MemRegion,
+    /// Its bytes.
+    pub er_bytes: &'a [u8],
+    /// The output region.
+    pub or: MemRegion,
+    /// Its bytes.
+    pub or_bytes: &'a [u8],
+    /// The IVT region and bytes (ASAP only).
+    pub ivt: Option<(MemRegion, &'a [u8])>,
+}
+
+impl<'a> PoxMeasurement<'a> {
+    /// The measured items in transcript order: `(label, start, bytes)`.
+    pub fn items(&self) -> impl Iterator<Item = (&'static str, u16, &'a [u8])> {
+        let exec: &'static [u8] = if self.exec { &[1] } else { &[0] };
+        [
+            Some((labels::EXEC, 0, exec)),
+            Some((labels::ER, self.er.start(), self.er_bytes)),
+            Some((labels::OR, self.or.start(), self.or_bytes)),
+            self.ivt
+                .map(|(region, bytes)| (labels::IVT, region.start(), bytes)),
+        ]
+        .into_iter()
+        .flatten()
     }
-    items
+
+    /// Bytes SW-Att measures (item bytes, framing excluded): the input
+    /// of `vrased::swatt::swatt_cycle_cost`.
+    pub fn measured_len(&self) -> usize {
+        self.items().map(|(_, _, bytes)| bytes.len()).sum()
+    }
+
+    /// The attestation MAC: every item streamed into an SW-Att
+    /// [`Transcript`] under `chal`.
+    pub fn attest(&self, key: &HmacKey, chal: &[u8; CHAL_LEN]) -> [u8; MAC_LEN] {
+        let mut t = Transcript::begin(key, chal);
+        for (label, start, bytes) in self.items() {
+            t.measure(label, start, bytes);
+        }
+        t.finish()
+    }
 }
 
 /// Why PoX verification failed.
@@ -121,19 +139,29 @@ impl Error for PoxError {}
 
 /// The PoX verifier: shares the device key, knows the expected `ER`
 /// binary, and (under ASAP) the expected trusted-ISR entry points.
-#[derive(Debug, Clone)]
+/// `Debug` leaves the key out.
+#[derive(Clone)]
 pub struct PoxVerifier {
-    key: Vec<u8>,
+    key: HmacKey,
     counter: u64,
     /// Expected bytes of `ER` (the shipped binary).
     pub expected_er: Vec<u8>,
+}
+
+impl fmt::Debug for PoxVerifier {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PoxVerifier")
+            .field("counter", &self.counter)
+            .field("expected_er_len", &self.expected_er.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl PoxVerifier {
     /// Creates a verifier expecting the given `ER` binary.
     pub fn new(key: &[u8], expected_er: Vec<u8>) -> PoxVerifier {
         PoxVerifier {
-            key: key.to_vec(),
+            key: HmacKey::new(key),
             counter: 0,
             expected_er,
         }
@@ -160,8 +188,15 @@ impl PoxVerifier {
         if !resp.exec {
             return Err(PoxError::NotExecuted);
         }
-        let items = pox_items(true, req.er, &self.expected_er, req.or, &resp.output, None);
-        let want = attest(&self.key, &req.chal.0, &items);
+        let want = PoxMeasurement {
+            exec: true,
+            er: req.er,
+            er_bytes: &self.expected_er,
+            or: req.or,
+            or_bytes: &resp.output,
+            ivt: None,
+        }
+        .attest(&self.key, &req.chal.0);
         if !ct_eq(&want, &resp.mac) {
             return Err(PoxError::BadMac);
         }
@@ -181,13 +216,28 @@ mod tests {
         MemRegion::new(0x0300, 0x033F)
     }
 
+    fn apex<'a>(
+        exec: bool,
+        req: &PoxRequest,
+        er_bytes: &'a [u8],
+        out: &'a [u8],
+    ) -> PoxMeasurement<'a> {
+        PoxMeasurement {
+            exec,
+            er: req.er,
+            er_bytes,
+            or: req.or,
+            or_bytes: out,
+            ivt: None,
+        }
+    }
+
     fn honest_response(key: &[u8], req: &PoxRequest, er_bytes: &[u8], out: &[u8]) -> PoxResponse {
-        let items = pox_items(true, req.er, er_bytes, req.or, out, None);
         PoxResponse {
             exec: true,
             output: out.to_vec(),
             ivt: None,
-            mac: attest(key, &req.chal.0, &items),
+            mac: apex(true, req, er_bytes, out).attest(&HmacKey::new(key), &req.chal.0),
         }
     }
 
@@ -220,12 +270,11 @@ mod tests {
         let er_bytes = vec![0x4A; 512];
         let mut vrf = PoxVerifier::new(key, er_bytes.clone());
         let req = vrf.request(region_er(), region_or());
-        let items = pox_items(false, req.er, &er_bytes, req.or, b"out", None);
         let resp = PoxResponse {
             exec: true, // lie
             output: b"out".to_vec(),
             ivt: None,
-            mac: attest(key, &req.chal.0, &items),
+            mac: apex(false, &req, &er_bytes, b"out").attest(&HmacKey::new(key), &req.chal.0),
         };
         assert_eq!(vrf.verify_apex(&req, &resp), Err(PoxError::BadMac));
     }
@@ -257,16 +306,18 @@ mod tests {
     fn items_include_ivt_when_present() {
         let ivt_region = MemRegion::new(0xFFE0, 0xFFFF);
         let ivt = vec![0u8; 32];
-        let items = pox_items(
-            true,
-            region_er(),
-            &[1],
-            region_or(),
-            &[2],
-            Some((ivt_region, &ivt)),
-        );
+        let m = PoxMeasurement {
+            exec: true,
+            er: region_er(),
+            er_bytes: &[1],
+            or: region_or(),
+            or_bytes: &[2],
+            ivt: Some((ivt_region, &ivt)),
+        };
+        let items: Vec<_> = m.items().collect();
         assert_eq!(items.len(), 4);
-        assert_eq!(items[3].label, labels::IVT);
-        assert_eq!(items[3].start, 0xFFE0);
+        assert_eq!(items[3].0, labels::IVT);
+        assert_eq!(items[3].1, 0xFFE0);
+        assert_eq!(m.measured_len(), 1 + 1 + 1 + 32);
     }
 }

@@ -10,7 +10,7 @@
 use crate::error::AsapError;
 use crate::monitor::AsapMonitor;
 use apex_pox::monitor::ApexMonitor;
-use apex_pox::protocol::{pox_items, PoxRequest, PoxResponse};
+use apex_pox::protocol::{PoxMeasurement, PoxRequest, PoxResponse};
 use ltl_mc::trace::Trace;
 use msp430_tools::link::Image;
 use openmsp430::bus::{Master, MemAccess};
@@ -22,10 +22,11 @@ use openmsp430::signals::Signals;
 use openmsp430::superblock::{SbConfig, SbExit, SbStep, StepCtl};
 use periph::gpio::{Gpio, PORT1_VECTOR, PORT2_VECTOR};
 use periph::{DmaController, Timer, Uart};
+use pox_crypto::hmac::HmacKey;
 use std::fmt;
 use vrased::hw::{swatt_exit_addr, KeyGuard, SwAttAtomicity};
 use vrased::props::{names, ErInfo, PropCtx, WireImage};
-use vrased::swatt::{attest, swatt_cycle_cost, CHAL_LEN};
+use vrased::swatt::{swatt_cycle_cost, CHAL_LEN};
 
 /// A streaming consumer of per-step waveform samples — the opt-in
 /// alternative to buffering a [`WaveSample`] per step inside the device.
@@ -329,7 +330,8 @@ pub struct Device {
     ctx: PropCtx,
     mode: PoxMode,
     er: ErInfo,
-    key: Vec<u8>,
+    /// The provisioned key, keyed into HMAC midstates once at build.
+    mac_key: HmacKey,
     stack: MonitorStack,
     trace: Option<Trace>,
     wave: Option<Vec<WaveSample>>,
@@ -413,7 +415,7 @@ impl Device {
             ctx,
             mode,
             er,
-            key: key_bytes,
+            mac_key: HmacKey::new(&key_bytes),
             stack: MonitorStack::new(ctx, mode),
             trace: None,
             wave: None,
@@ -865,14 +867,23 @@ impl Device {
         // --- Step 1: enter SW-Att at its first instruction.
         self.swatt_step(layout.swatt.start(), &[]);
 
-        // --- Step 2: the measurement body — key + region reads.
+        // --- Step 2: the measurement body — key + region reads. The
+        // regions stream from memory into the MAC; only the reported
+        // `OR` and IVT bytes are copied, into the response.
         let exec = self.exec();
-        let er_bytes = self.er_bytes();
-        let or_bytes = self.or_bytes();
-        let ivt = match self.mode {
-            PoxMode::Asap => Some((layout.ivt, self.ivt_bytes())),
-            PoxMode::Apex => None,
+        let mem = &self.mcu.mem;
+        let measurement = PoxMeasurement {
+            exec,
+            er: self.er.region,
+            er_bytes: mem.slice(self.er.region),
+            or: layout.or,
+            or_bytes: mem.slice(layout.or),
+            ivt: (self.mode == PoxMode::Asap).then(|| (layout.ivt, mem.slice(layout.ivt))),
         };
+        let mac = measurement.attest(&self.mac_key, &chal);
+        let measured = measurement.measured_len();
+        let output = measurement.or_bytes.to_vec();
+        let ivt = measurement.ivt.map(|(_, b)| b.to_vec());
         let mut accesses = [MemAccess::read(0, 0, true); 4];
         let mut measured_regions = 3;
         accesses[0] = MemAccess::read(layout.key.start(), 0, true);
@@ -883,17 +894,6 @@ impl Device {
             measured_regions = 4;
         }
         self.swatt_step(layout.swatt.start() + 2, &accesses[..measured_regions]);
-
-        let items = pox_items(
-            exec,
-            self.er.region,
-            &er_bytes,
-            layout.or,
-            &or_bytes,
-            ivt.as_ref().map(|(r, b)| (*r, b.as_slice())),
-        );
-        let mac = attest(&self.key, &chal, &items);
-        let measured: usize = items.iter().map(|i| i.bytes.len()).sum();
         self.mcu.charge_cycles(swatt_cycle_cost(measured));
 
         // --- Step 3: write the MAC to the metadata region.
@@ -911,8 +911,8 @@ impl Device {
 
         PoxResponse {
             exec,
-            output: or_bytes,
-            ivt: ivt.map(|(_, b)| b),
+            output,
+            ivt,
             mac,
         }
     }

@@ -21,15 +21,15 @@
 use crate::device::PoxMode;
 use crate::error::AsapError;
 use crate::session::{Issued, PoxSession};
-use apex_pox::protocol::{pox_items, PoxRequest, PoxResponse};
+use apex_pox::protocol::{PoxMeasurement, PoxRequest, PoxResponse};
 use msp430_tools::link::Image;
 use openmsp430::cpu::IVT_VECTORS;
 use openmsp430::layout::MemLayout;
 use openmsp430::mem::MemRegion;
-use pox_crypto::hmac::ct_eq;
+use pox_crypto::hmac::{ct_eq, HmacKey};
 use std::collections::BTreeMap;
+use std::fmt;
 use vrased::protocol::Challenge;
-use vrased::swatt::attest;
 
 /// What the verifier expects of a provable deployment — derived from
 /// the linked image rather than hand-assembled.
@@ -131,20 +131,29 @@ impl VerifierSpec {
 /// refcount bump, not a copy of the expected `ER` bytes. The spec is
 /// its own `Arc` so a fleet deploying one image to a million devices
 /// stores the expected `ER` bytes once, not once per device
-/// ([`AsapVerifier::new_shared`]).
-#[derive(Debug)]
+/// ([`AsapVerifier::new_shared`]). The key is held as HMAC midstates,
+/// keyed once here (at enroll and at rekey) rather than per session.
 struct VerifierCore {
-    key: Vec<u8>,
+    mac_key: HmacKey,
     spec: std::sync::Arc<VerifierSpec>,
 }
 
 /// The verifier: holds the shared device key, a [`VerifierSpec`], and
 /// the monotone challenge counter. Issue sessions with
-/// [`AsapVerifier::begin`].
-#[derive(Debug, Clone)]
+/// [`AsapVerifier::begin`]. `Debug` leaves the key out.
+#[derive(Clone)]
 pub struct AsapVerifier {
     core: std::sync::Arc<VerifierCore>,
     counter: u64,
+}
+
+impl fmt::Debug for AsapVerifier {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AsapVerifier")
+            .field("spec", &self.core.spec)
+            .field("counter", &self.counter)
+            .finish_non_exhaustive()
+    }
 }
 
 impl AsapVerifier {
@@ -160,7 +169,7 @@ impl AsapVerifier {
     pub fn new_shared(key: &[u8], spec: std::sync::Arc<VerifierSpec>) -> AsapVerifier {
         AsapVerifier {
             core: std::sync::Arc::new(VerifierCore {
-                key: key.to_vec(),
+                mac_key: HmacKey::new(key),
                 spec,
             }),
             counter: 0,
@@ -214,12 +223,16 @@ impl AsapVerifier {
 
     /// Parses an IVT byte image into vector → target pairs.
     pub fn parse_ivt(bytes: &[u8]) -> Vec<(u8, u16)> {
+        Self::ivt_entries(bytes).collect()
+    }
+
+    /// [`AsapVerifier::parse_ivt`] without the `Vec`.
+    fn ivt_entries(bytes: &[u8]) -> impl Iterator<Item = (u8, u16)> + '_ {
         bytes
             .chunks(2)
             .take(IVT_VECTORS as usize)
             .enumerate()
             .map(|(i, c)| (i as u8, u16::from_le_bytes([c[0], *c.get(1).unwrap_or(&0)])))
-            .collect()
     }
 
     /// Renders vector → target pairs back into an IVT byte image of
@@ -250,7 +263,7 @@ impl AsapVerifier {
         }
         let ivt = match (spec.mode, resp.ivt.as_ref()) {
             (PoxMode::Asap, Some(bytes)) => {
-                for (vector, target) in Self::parse_ivt(bytes) {
+                for (vector, target) in Self::ivt_entries(bytes) {
                     if req.er.contains(target) && spec.trusted_isrs.get(&vector) != Some(&target) {
                         return Err(AsapError::UnexpectedIsrEntry { vector, target });
                     }
@@ -262,8 +275,15 @@ impl AsapVerifier {
             (PoxMode::Apex, None) => None,
         };
 
-        let items = pox_items(true, req.er, &spec.expected_er, req.or, &resp.output, ivt);
-        let want = attest(&self.core.key, req.chal.as_bytes(), &items);
+        let want = PoxMeasurement {
+            exec: true,
+            er: req.er,
+            er_bytes: &spec.expected_er,
+            or: req.or,
+            or_bytes: &resp.output,
+            ivt,
+        }
+        .attest(&self.core.mac_key, req.chal.as_bytes());
         if !ct_eq(&want, &resp.mac) {
             return Err(AsapError::BadMac);
         }
@@ -300,19 +320,20 @@ mod tests {
         ivt: Option<Vec<u8>>,
         out: &[u8],
     ) -> PoxResponse {
-        let items = pox_items(
-            true,
-            req.er,
-            &vrf.spec().expected_er,
-            req.or,
-            out,
-            ivt.as_ref().map(|b| (vrf.spec().ivt_region, b.as_slice())),
-        );
+        let mac = PoxMeasurement {
+            exec: true,
+            er: req.er,
+            er_bytes: &vrf.spec().expected_er,
+            or: req.or,
+            or_bytes: out,
+            ivt: ivt.as_ref().map(|b| (vrf.spec().ivt_region, b.as_slice())),
+        }
+        .attest(&HmacKey::new(KEY), req.chal.as_bytes());
         PoxResponse {
             exec: true,
             output: out.to_vec(),
             ivt,
-            mac: attest(KEY, req.chal.as_bytes(), &items),
+            mac,
         }
     }
 

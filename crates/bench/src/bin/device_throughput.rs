@@ -26,21 +26,32 @@
 //! kernels (whose per-step cost does not depend on register state), so
 //! the ablation compares pipeline cost, not behaviour.
 //!
+//! The **mac** arm times the SW-Att MAC alone: HMACs per second over
+//! the Fig. 4 ASAP transcript (`EXEC ‖ ER ‖ OR ‖ IVT` with the verifier's
+//! midstate key), fresh challenge each time. `mac_path` records which
+//! SHA-256 compression run-time detection picked (`"sha_ni"` or
+//! `"scalar"`), since the two differ by several times.
+//!
 //! Environment knobs:
 //!
 //! * `DEVICE_SMOKE=1` — small step/round counts for CI bit-rot checks;
-//! * `DEVICE_STEPS=n` / `DEVICE_ROUNDS=n` — explicit workload sizes;
+//! * `DEVICE_STEPS=n` / `DEVICE_ROUNDS=n` / `DEVICE_MACS=n` — explicit
+//!   workload sizes;
 //! * `DEVICE_TRIALS=n` — trials per arm (best-of wins; default 3, 1 in
 //!   smoke mode), stripping scheduler noise from the recorded numbers.
 
+use apex_pox::protocol::PoxMeasurement;
 use asap::device::{Device, PoxMode};
 use asap::{programs, AsapVerifier, VerifierSpec};
 use openmsp430::hwmod::{HwAction, HwModule};
 use openmsp430::signals::Signals;
+use pox_crypto::hmac::HmacKey;
+use pox_crypto::sha256::Backend;
 use std::hint::black_box;
 use std::time::Instant;
 use vrased::hw::{KeyGuard, KeyGuardIn, SwAttAtomicity};
 use vrased::props::{names, PropCtx};
+use vrased::protocol::Challenge;
 
 const KEY: &[u8] = b"bench-key";
 
@@ -190,6 +201,35 @@ fn measure_attestations(rounds: u64) -> f64 {
     rounds as f64 / secs.max(f64::EPSILON)
 }
 
+/// SW-Att MACs per second over the Fig. 4 ASAP transcript: the bytes
+/// the verifier measures for the steady device, under a midstate key,
+/// one fresh challenge per MAC.
+fn measure_macs(macs: u64) -> f64 {
+    let image = programs::fig4_authorized().expect("image links");
+    let spec = VerifierSpec::from_image(&image).expect("spec derives");
+    let device = steady_device();
+    let key = HmacKey::new(KEY);
+    let mem = &device.mcu.mem;
+    let transcript = PoxMeasurement {
+        exec: true,
+        er: spec.er,
+        er_bytes: &spec.expected_er,
+        or: spec.or,
+        or_bytes: mem.slice(spec.or),
+        ivt: Some((spec.ivt_region, mem.slice(spec.ivt_region))),
+    };
+    let chals: Vec<Challenge> = (1..=64).map(Challenge::from_counter).collect();
+    let t0 = Instant::now();
+    let mut acc = 0u8;
+    for i in 0..macs {
+        let chal = &chals[i as usize % chals.len()];
+        acc ^= black_box(&transcript).attest(&key, chal.as_bytes())[0];
+    }
+    let secs = t0.elapsed().as_secs_f64();
+    black_box(acc);
+    macs as f64 / secs.max(f64::EPSILON)
+}
+
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
         .ok()
@@ -230,12 +270,15 @@ fn main() {
     let smoke = std::env::var("DEVICE_SMOKE").is_ok();
     let steps = env_u64("DEVICE_STEPS", if smoke { 50_000 } else { 2_000_000 });
     let rounds = env_u64("DEVICE_ROUNDS", if smoke { 200 } else { 2_000 });
+    let macs = env_u64("DEVICE_MACS", if smoke { 20_000 } else { 400_000 });
     let trials = env_u64("DEVICE_TRIALS", if smoke { 1 } else { 3 });
 
     let legacy = run_trials(trials, || measure_legacy(steps));
     let predecoded = run_trials(trials, || measure_predecoded(steps));
     let superblock = run_trials(trials, || measure_superblock(steps));
     let attestations = run_trials(trials, || measure_attestations(rounds));
+    let mac = run_trials(trials, || measure_macs(macs));
+    let mac_path = Backend::detected().name();
     let speedup = predecoded.best / legacy.best.max(f64::EPSILON);
     let superblock_speedup = superblock.best / predecoded.best.max(f64::EPSILON);
 
@@ -264,11 +307,16 @@ fn main() {
         "attestations/sec: {:.0} over {rounds} rounds",
         attestations.best
     );
+    println!(
+        "macs/sec: {:.0} over {macs} fig4 ASAP transcripts on {mac_path} ({:.1}% spread)",
+        mac.best,
+        mac.spread * 100.0
+    );
 
     let json = format!(
         "{{\n  \"bench\": \"device_throughput\",\n  \"workload\": {{\"image\": \
          \"fig4_authorized\", \"mode\": \"asap\", \"steps\": {steps}, \"rounds\": {rounds}, \
-         \"trials\": {trials}}},\n  \
+         \"macs\": {macs}, \"trials\": {trials}}},\n  \
          \"steps_per_sec\": {{\"legacy\": {legacy_best:.0}, \"predecoded\": {predecoded_best:.0}, \
          \"superblock\": {superblock_best:.0}, \"speedup\": {speedup:.3}, \
          \"superblock_speedup\": {superblock_speedup:.3}}},\n  \
@@ -278,7 +326,11 @@ fn main() {
          \"superblock\": {superblock_spread:.4}}},\n  \
          \"attestations_per_sec\": {attestations_best:.1},\n  \
          \"trial_attestations_per_sec\": {attestations_trials},\n  \
-         \"attestations_spread\": {attestations_spread:.4}\n}}\n",
+         \"attestations_spread\": {attestations_spread:.4},\n  \
+         \"mac_path\": \"{mac_path}\",\n  \
+         \"macs_per_sec\": {mac_best:.1},\n  \
+         \"trial_macs_per_sec\": {mac_trials},\n  \
+         \"macs_spread\": {mac_spread:.4}\n}}\n",
         legacy_best = legacy.best,
         predecoded_best = predecoded.best,
         superblock_best = superblock.best,
@@ -291,6 +343,9 @@ fn main() {
         attestations_best = attestations.best,
         attestations_trials = json_list(&attestations.trials),
         attestations_spread = attestations.spread,
+        mac_best = mac.best,
+        mac_trials = json_list(&mac.trials),
+        mac_spread = mac.spread,
     );
     std::fs::write("BENCH_device.json", &json).expect("write BENCH_device.json");
     println!("\nwrote BENCH_device.json");

@@ -1,6 +1,85 @@
 //! HMAC-SHA256 (RFC 2104 / FIPS 198-1), built on [`crate::sha256`].
+//!
+//! [`HmacKey`] is a key already run through its two pad blocks: the
+//! inner and outer hash states after `K ^ ipad` and `K ^ opad`. Keying
+//! once and cloning those midstates per message saves two of the
+//! compressions every HMAC would otherwise spend on the key, which for
+//! a short SW-Att transcript is most of them.
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
+use std::fmt;
+
+/// A precomputed HMAC-SHA256 key: the inner and outer SHA-256 states
+/// after one block of ipad and one of opad.
+///
+/// The midstates are as secret as the key (they suffice to compute
+/// MACs), so `Debug` prints neither.
+///
+/// # Examples
+///
+/// ```
+/// use pox_crypto::hmac::{hmac_sha256, HmacKey};
+///
+/// let key = HmacKey::new(b"key");
+/// assert_eq!(key.mac(b"msg"), hmac_sha256(b"key", b"msg"));
+/// ```
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HmacKey")
+            .field("backend", &self.inner.backend())
+            .finish_non_exhaustive()
+    }
+}
+
+impl HmacKey {
+    /// Keys HMAC with `key` (any length; keys longer than one block are
+    /// hashed first, per RFC 2104) on
+    /// [`Backend::detected`](crate::sha256::Backend::detected).
+    pub fn new(key: &[u8]) -> HmacKey {
+        HmacKey::on(key, Sha256::new())
+    }
+
+    /// [`HmacKey::new`] on `backend`, or `None` when this CPU does not
+    /// run it.
+    #[cfg(test)]
+    pub(crate) fn with_backend(key: &[u8], backend: crate::sha256::Backend) -> Option<HmacKey> {
+        Sha256::with_backend(backend).map(|fresh| HmacKey::on(key, fresh))
+    }
+
+    /// Keys `fresh`, an unused hash state, with `key`.
+    fn on(key: &[u8], fresh: Sha256) -> HmacKey {
+        let mut k = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            let mut h = fresh.clone();
+            h.update(key);
+            k[..DIGEST_LEN].copy_from_slice(&h.finalize());
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let pad = |c: u8| {
+            let mut h = fresh.clone();
+            h.update(&k.map(|b| b ^ c));
+            h
+        };
+        HmacKey {
+            inner: pad(0x36),
+            outer: pad(0x5c),
+        }
+    }
+
+    /// One-shot HMAC of `msg` under this key.
+    pub fn mac(&self, msg: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut mac = HmacSha256::with_key(self);
+        mac.update(msg);
+        mac.finalize()
+    }
+}
 
 /// Incremental HMAC-SHA256 state.
 ///
@@ -17,34 +96,32 @@ use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 ///     "f7bc83f430538424b13298e6aa6fb143ef4d59a14946175997479dbc2d1a3cd8"
 /// );
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    outer_key: [u8; BLOCK_LEN],
+    outer: Sha256,
+}
+
+impl fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HmacSha256").finish_non_exhaustive()
+    }
 }
 
 impl HmacSha256 {
     /// Creates an HMAC state keyed with `key` (any length; keys longer
     /// than one block are hashed first, per RFC 2104).
     pub fn new(key: &[u8]) -> HmacSha256 {
-        let mut k = [0u8; BLOCK_LEN];
-        if key.len() > BLOCK_LEN {
-            let d = crate::sha256::digest(key);
-            k[..DIGEST_LEN].copy_from_slice(&d);
-        } else {
-            k[..key.len()].copy_from_slice(key);
-        }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = k[i] ^ 0x36;
-            opad[i] = k[i] ^ 0x5c;
-        }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
+        let HmacKey { inner, outer } = HmacKey::new(key);
+        HmacSha256 { inner, outer }
+    }
+
+    /// Starts a MAC under a precomputed key, copying its midstates
+    /// instead of hashing the pads again.
+    pub fn with_key(key: &HmacKey) -> HmacSha256 {
         HmacSha256 {
-            inner,
-            outer_key: opad,
+            inner: key.inner.clone(),
+            outer: key.outer.clone(),
         }
     }
 
@@ -55,10 +132,8 @@ impl HmacSha256 {
 
     /// Finishes the computation and returns the 32-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 }

@@ -10,6 +10,30 @@
 //! anchor is self-contained, mirroring the self-contained HACL*-derived
 //! HMAC that VRASED ships in ROM.
 //!
+//! # The MAC layer
+//!
+//! Every proof of execution costs one HMAC on the prover and one on the
+//! verifier, so three things keep it cheap:
+//!
+//! * **Hardware compression, picked at run time.** [`Sha256::new`]
+//!   compresses on the x86-64 SHA extensions when
+//!   `is_x86_feature_detected!` reports `sha`, `sse2`, `ssse3` and
+//!   `sse4.1`, and on portable scalar code otherwise. Nothing else
+//!   chooses: no cargo feature, environment variable or setting.
+//!   [`Backend::detected`] names the pick. The only `unsafe` code is in
+//!   the private `shani` module, behind a token only detection mints.
+//!   The crate's own tests check SHA-NI against the scalar path, which
+//!   stays the oracle.
+//! * **Midstates keyed once.** [`HmacKey`] holds the inner and outer
+//!   states after the ipad and opad blocks. Callers build it when a key
+//!   is provisioned (a verifier at enroll and rekey, a device at build)
+//!   and start each MAC from it with [`HmacSha256::with_key`], saving
+//!   the two pad compressions per message.
+//! * **Streamed transcripts.** [`HmacSha256::update`] takes borrowed
+//!   slices of any size, so SW-Att (`vrased::swatt::Transcript`) writes
+//!   each measured region straight from memory into the MAC; nothing
+//!   is copied into an intermediate list.
+//!
 //! # Examples
 //!
 //! ```
@@ -23,6 +47,11 @@
 pub mod hex;
 pub mod hmac;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+mod shani;
 
-pub use hmac::{ct_eq, hmac_sha256, HmacSha256};
-pub use sha256::{digest, Sha256, DIGEST_LEN};
+#[cfg(test)]
+mod differential;
+
+pub use hmac::{ct_eq, hmac_sha256, HmacKey, HmacSha256};
+pub use sha256::{digest, Backend, Sha256, DIGEST_LEN};

@@ -3,6 +3,16 @@
 //! VRASED's SW-Att computes an HMAC-SHA256 over prover memory; this module
 //! provides the hash primitive with both one-shot and incremental APIs so
 //! the attestation routine can stream memory regions through it.
+//!
+//! The compression function has two implementations, named by
+//! [`Backend`]: the portable scalar one, and the x86-64 SHA extensions
+//! (SHA-NI). [`Sha256::new`] takes SHA-NI when the CPU reports it at run
+//! time and the scalar one otherwise; no build flag or setting chooses.
+//! Only the crate's own tests pin a path, to run the scalar one as a
+//! differential oracle for the hardware one.
+
+#[cfg(target_arch = "x86_64")]
+use crate::shani::ShaNi;
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -14,7 +24,7 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -42,10 +52,102 @@ const K: [u32; 64] = [
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sha256 {
+    engine: Engine,
     state: [u32; 8],
     buf: [u8; BLOCK_LEN],
     buf_len: usize,
     total_len: u64,
+}
+
+/// A SHA-256 compression function.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// Portable Rust, on every host.
+    Scalar,
+    /// The x86-64 SHA extensions (`sha256rnds2`, `sha256msg1/2`).
+    ShaNi,
+}
+
+impl Backend {
+    /// The fastest backend this CPU runs, found by run-time feature
+    /// detection.
+    pub fn detected() -> Backend {
+        Engine::detect().backend()
+    }
+
+    /// Whether this CPU runs `self`.
+    #[cfg(test)]
+    pub(crate) fn available(self) -> bool {
+        Engine::of(self).is_some()
+    }
+
+    /// A short name for reports: `"scalar"` or `"sha_ni"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Scalar => "scalar",
+            Backend::ShaNi => "sha_ni",
+        }
+    }
+
+    /// Runs one compression of `block` into `state` on this backend.
+    ///
+    /// # Panics
+    ///
+    /// If this CPU does not run `self` (see [`Backend::available`]).
+    #[cfg(test)]
+    pub(crate) fn compress(self, state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+        let engine = Engine::of(self)
+            .unwrap_or_else(|| panic!("this CPU does not run the {} backend", self.name()));
+        engine.compress(state, block);
+    }
+}
+
+/// A [`Backend`] this CPU was checked to run. The SHA-NI variant holds
+/// the [`ShaNi`] token, which only run-time detection can make.
+#[derive(Debug, Clone, Copy)]
+enum Engine {
+    Scalar,
+    #[cfg(target_arch = "x86_64")]
+    ShaNi(ShaNi),
+}
+
+impl Engine {
+    fn detect() -> Engine {
+        Engine::of(Backend::ShaNi).unwrap_or(Engine::Scalar)
+    }
+
+    fn of(backend: Backend) -> Option<Engine> {
+        match backend {
+            Backend::Scalar => Some(Engine::Scalar),
+            #[cfg(target_arch = "x86_64")]
+            Backend::ShaNi => ShaNi::detect().map(Engine::ShaNi),
+            #[cfg(not(target_arch = "x86_64"))]
+            Backend::ShaNi => None,
+        }
+    }
+
+    fn backend(self) -> Backend {
+        match self {
+            Engine::Scalar => Backend::Scalar,
+            #[cfg(target_arch = "x86_64")]
+            Engine::ShaNi(_) => Backend::ShaNi,
+        }
+    }
+
+    /// Compresses `blocks` (a whole number of 64-byte blocks) into
+    /// `state`.
+    fn compress(self, state: &mut [u32; 8], blocks: &[u8]) {
+        debug_assert!(blocks.len().is_multiple_of(BLOCK_LEN));
+        match self {
+            Engine::Scalar => {
+                for block in blocks.chunks_exact(BLOCK_LEN) {
+                    compress_scalar(state, block.try_into().expect("64-byte chunk"));
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Engine::ShaNi(ni) => ni.compress(state, blocks),
+        }
+    }
 }
 
 impl Default for Sha256 {
@@ -55,14 +157,31 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a fresh hash state.
+    /// Creates a fresh hash state on [`Backend::detected`].
     pub fn new() -> Sha256 {
+        Sha256::on(Engine::detect())
+    }
+
+    /// Creates a fresh hash state on `backend`, or `None` when this CPU
+    /// does not run it.
+    #[cfg(test)]
+    pub(crate) fn with_backend(backend: Backend) -> Option<Sha256> {
+        Engine::of(backend).map(Sha256::on)
+    }
+
+    fn on(engine: Engine) -> Sha256 {
         Sha256 {
+            engine,
             state: H0,
             buf: [0; BLOCK_LEN],
             buf_len: 0,
             total_len: 0,
         }
+    }
+
+    /// The backend this state compresses on.
+    pub fn backend(&self) -> Backend {
+        self.engine.backend()
     }
 
     /// Absorbs `data`.
@@ -75,16 +194,14 @@ impl Sha256 {
             self.buf_len += take;
             rest = &rest[take..];
             if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
+                self.engine.compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while rest.len() >= BLOCK_LEN {
-            let (block, tail) = rest.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        let whole = rest.len() - rest.len() % BLOCK_LEN;
+        if whole > 0 {
+            let (blocks, tail) = rest.split_at(whole);
+            self.engine.compress(&mut self.state, blocks);
             rest = tail;
         }
         if !rest.is_empty() {
@@ -96,96 +213,70 @@ impl Sha256 {
     /// Finishes the computation and returns the digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update_padding_byte();
-        while self.buf_len != 56 {
-            self.update_zero_byte();
+        // Padding: 0x80, zeros, 64-bit big-endian length. `update`
+        // always leaves a partial block, so the 0x80 fits; the length
+        // needs a second block when fewer than 8 bytes remain after it.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len + 1 > BLOCK_LEN - 8 {
+            self.engine.compress(&mut self.state, &self.buf);
+            self.buf.fill(0);
         }
-        let mut len_block = [0u8; 8];
-        len_block.copy_from_slice(&bit_len.to_be_bytes());
-        let mut i = 0;
-        while i < 8 {
-            self.buf[self.buf_len] = len_block[i];
-            self.buf_len += 1;
-            i += 1;
-        }
-        let block = self.buf;
-        self.compress(&block);
+        self.buf[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        self.engine.compress(&mut self.state, &self.buf);
 
         let mut out = [0u8; DIGEST_LEN];
-        for (i, w) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&w.to_be_bytes());
+        for (chunk, w) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&w.to_be_bytes());
         }
         out
     }
+}
 
-    fn update_padding_byte(&mut self) {
-        self.push_raw(0x80);
+/// The portable compression function: one 64-byte block into `state`.
+fn compress_scalar(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 64];
+    for i in 0..16 {
+        w[i] = u32::from_be_bytes([
+            block[4 * i],
+            block[4 * i + 1],
+            block[4 * i + 2],
+            block[4 * i + 3],
+        ]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
     }
 
-    fn update_zero_byte(&mut self) {
-        self.push_raw(0x00);
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
     }
 
-    fn push_raw(&mut self, byte: u8) {
-        self.buf[self.buf_len] = byte;
-        self.buf_len += 1;
-        if self.buf_len == BLOCK_LEN {
-            let block = self.buf;
-            self.compress(&block);
-            self.buf_len = 0;
-        }
-    }
-
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 

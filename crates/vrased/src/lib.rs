@@ -40,4 +40,4 @@ pub mod swatt;
 pub use hw::{KeyGuard, SwAttAtomicity};
 pub use props::{ErInfo, PropCtx};
 pub use protocol::{AttRequest, AttResponse, Challenge, Verifier, VerifyError};
-pub use swatt::{attest, swatt_cycle_cost, MeasuredItem, CHAL_LEN, MAC_LEN};
+pub use swatt::{attest, swatt_cycle_cost, MeasuredItem, Transcript, CHAL_LEN, MAC_LEN};

@@ -65,11 +65,19 @@ impl fmt::Display for VerifyError {
 impl Error for VerifyError {}
 
 /// The verifier: holds the shared device key and the expected memory
-/// contents.
-#[derive(Debug, Clone)]
+/// contents. `Debug` leaves the key out.
+#[derive(Clone)]
 pub struct Verifier {
     key: Vec<u8>,
     counter: u64,
+}
+
+impl fmt::Debug for Verifier {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Verifier")
+            .field("counter", &self.counter)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Verifier {

@@ -9,11 +9,13 @@
 //!
 //! The measured transcript is canonical and collision-free:
 //! `label ‖ start ‖ len` frames every region, so distinct region
-//! geometries can never produce identical transcripts.
+//! geometries can never produce identical transcripts. [`Transcript`]
+//! streams each frame straight into the MAC, so a measurement copies
+//! no region and allocates nothing.
 
 use crate::props::PropCtx;
 use openmsp430::mem::{MemRegion, Memory};
-use pox_crypto::hmac::HmacSha256;
+use pox_crypto::hmac::{HmacKey, HmacSha256};
 
 /// Size of the verifier challenge in bytes.
 pub const CHAL_LEN: usize = 16;
@@ -53,22 +55,49 @@ impl MeasuredItem {
     }
 }
 
-/// Computes the attestation MAC over a challenge and measured items.
+/// An SW-Att measurement in progress: the MAC over
+/// `"VRASED-SWATT-v1" ‖ chal`, then one `label ‖ start ‖ len ‖ bytes`
+/// frame per [`Transcript::measure`] call.
 ///
 /// This is the functional core of SW-Att; both the prover (over its real
-/// memory) and the verifier (over expected contents) call it.
-pub fn attest(key: &[u8], chal: &[u8; CHAL_LEN], items: &[MeasuredItem]) -> [u8; MAC_LEN] {
-    let mut mac = HmacSha256::new(key);
-    mac.update(b"VRASED-SWATT-v1");
-    mac.update(chal);
-    for item in items {
-        mac.update(&(item.label.len() as u32).to_le_bytes());
-        mac.update(item.label.as_bytes());
-        mac.update(&item.start.to_le_bytes());
-        mac.update(&(item.bytes.len() as u32).to_le_bytes());
-        mac.update(&item.bytes);
+/// memory) and the verifier (over expected contents) run it.
+#[derive(Debug, Clone)]
+pub struct Transcript {
+    mac: HmacSha256,
+}
+
+impl Transcript {
+    /// Starts a measurement under `key` and the verifier's challenge.
+    pub fn begin(key: &HmacKey, chal: &[u8; CHAL_LEN]) -> Transcript {
+        let mut mac = HmacSha256::with_key(key);
+        mac.update(b"VRASED-SWATT-v1");
+        mac.update(chal);
+        Transcript { mac }
     }
-    mac.finalize()
+
+    /// Absorbs one item's frame: `len(label) ‖ label ‖ start ‖ len ‖ bytes`,
+    /// integers little-endian.
+    pub fn measure(&mut self, label: &str, start: u16, bytes: &[u8]) {
+        self.mac.update(&(label.len() as u32).to_le_bytes());
+        self.mac.update(label.as_bytes());
+        self.mac.update(&start.to_le_bytes());
+        self.mac.update(&(bytes.len() as u32).to_le_bytes());
+        self.mac.update(bytes);
+    }
+
+    /// The attestation MAC.
+    pub fn finish(self) -> [u8; MAC_LEN] {
+        self.mac.finalize()
+    }
+}
+
+/// Computes the attestation MAC over a challenge and measured items.
+pub fn attest(key: &[u8], chal: &[u8; CHAL_LEN], items: &[MeasuredItem]) -> [u8; MAC_LEN] {
+    let mut t = Transcript::begin(&HmacKey::new(key), chal);
+    for item in items {
+        t.measure(&item.label, item.start, &item.bytes);
+    }
+    t.finish()
 }
 
 /// Cycle cost model for the ROM routine: dominated by the HMAC
@@ -149,6 +178,19 @@ mod tests {
         let a = MeasuredItem::region("er", &mem, MemRegion::new(0xE000, 0xE000));
         let b = MeasuredItem::region("er", &mem, MemRegion::new(0xF000, 0xF000));
         assert_ne!(attest(b"k", &chal(0), &[a]), attest(b"k", &chal(0), &[b]));
+    }
+
+    #[test]
+    fn transcript_streams_the_same_frames_as_items() {
+        let items = vec![
+            MeasuredItem::value("exec", vec![1]),
+            MeasuredItem::value("er", vec![0xA5; 100]),
+        ];
+        let key = HmacKey::new(b"k");
+        let mut t = Transcript::begin(&key, &chal(3));
+        t.measure("exec", 0, &[1]);
+        t.measure("er", 0, &[0xA5; 100]);
+        assert_eq!(t.finish(), attest(b"k", &chal(3), &items));
     }
 
     #[test]

@@ -351,3 +351,125 @@ fn asap_netlist_ivt_guard_matches_kernel() {
         }
     });
 }
+
+// ---------------------------------------------------------------------
+// MAC golden vectors
+// ---------------------------------------------------------------------
+
+/// Checked-in SW-Att MACs over the Fig. 4 transcript. The envelope
+/// vectors above carry a dummy MAC; these pin the MAC itself, so a
+/// change to the hash, the HMAC key schedule or the transcript framing
+/// (`label ‖ start ‖ len ‖ bytes` per item) fails here.
+mod mac_golden {
+    use apex_pox::protocol::{PoxRequest, PoxResponse, PoxVerifier};
+    use asap::device::{Device, PoxMode};
+    use asap::{programs, AsapVerifier, VerifierSpec};
+    use vrased::protocol::Challenge;
+    use vrased::swatt::{attest, MeasuredItem};
+
+    const KEY: &[u8] = b"golden-mac-key";
+
+    /// `attest(KEY, chal(7), EXEC ‖ ER ‖ OR ‖ IVT)` for Fig. 4 under ASAP.
+    const ASAP_MAC_HEX: &str = "ae2f4e693955d15b1b8cd14e99c8deb6e9cc3f19d30eb5d60b5f7b88feed71f7";
+
+    /// `attest(KEY, chal(7), EXEC ‖ ER ‖ OR)` for Fig. 4 under APEX.
+    const APEX_MAC_HEX: &str = "13751219c73b7f510677790a2daff18eab0e3f57430213c6de362a3faecc4fc8";
+
+    /// `Device::attest_bytes` for `fig4-authorized` under ASAP, answering
+    /// the wire request for `chal(7)`.
+    const ASAP_RESPONSE_HEX: &str = "50585031020140000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000120000000000000001ae000000000000000000000000000000000000000000000000000f0ae2f4e693955d15b1b8cd14e99c8deb6e9cc3f19d30eb5d60b5f7b88feed71f7";
+
+    /// Fig. 4, built under `mode` and run to its done loop. Under ASAP
+    /// the button is pressed mid-run, so the trusted ISR runs inside
+    /// `ER`; APEX must run interrupt-free to keep `EXEC`.
+    fn fig4(mode: PoxMode) -> (Device, VerifierSpec) {
+        let image = programs::fig4_authorized().unwrap();
+        let spec = VerifierSpec::from_image(&image).unwrap().mode(mode);
+        let mut device = Device::builder(&image).mode(mode).key(KEY).build().unwrap();
+        device.run_steps(6);
+        if mode == PoxMode::Asap {
+            device.set_button(0, true);
+        }
+        device.run_until_pc(programs::done_pc(), 10_000);
+        (device, spec)
+    }
+
+    fn request(spec: &VerifierSpec) -> PoxRequest {
+        PoxRequest {
+            chal: Challenge::from_counter(7),
+            er: spec.er,
+            or: spec.or,
+        }
+    }
+
+    /// The transcript rebuilt item by item from the spec and the
+    /// response, independent of the prover and verifier code paths.
+    fn transcript_mac(spec: &VerifierSpec, req: &PoxRequest, resp: &PoxResponse) -> [u8; 32] {
+        let mut items = vec![
+            MeasuredItem::value("exec", vec![1]),
+            MeasuredItem {
+                label: "er".into(),
+                start: spec.er.start(),
+                bytes: spec.expected_er.clone(),
+            },
+            MeasuredItem {
+                label: "or".into(),
+                start: spec.or.start(),
+                bytes: resp.output.clone(),
+            },
+        ];
+        if let Some(ivt) = &resp.ivt {
+            items.push(MeasuredItem {
+                label: "ivt".into(),
+                start: spec.ivt_region.start(),
+                bytes: ivt.clone(),
+            });
+        }
+        attest(KEY, req.chal.as_bytes(), &items)
+    }
+
+    /// The seventh session of a fresh verifier carries `chal(7)`.
+    fn conclude_seventh(spec: VerifierSpec, resp: &PoxResponse) -> bool {
+        let mut vrf = AsapVerifier::new(KEY, spec);
+        let session = (0..7).map(|_| vrf.begin()).last().unwrap();
+        assert_eq!(session.request().chal, Challenge::from_counter(7));
+        session
+            .evidence_bytes(&resp.to_bytes())
+            .unwrap()
+            .conclude(&vrf)
+            .is_verified()
+    }
+
+    #[test]
+    fn fig4_asap_transcript_mac_matches_golden_vector() {
+        let (mut device, spec) = fig4(PoxMode::Asap);
+        let req = request(&spec);
+        let resp = device.attest(&req);
+        assert!(resp.exec && resp.ivt.is_some());
+        assert_eq!(pox_crypto::hex::encode(&resp.mac), ASAP_MAC_HEX);
+        assert_eq!(transcript_mac(&spec, &req, &resp), resp.mac);
+        assert!(conclude_seventh(spec, &resp));
+    }
+
+    #[test]
+    fn fig4_apex_transcript_mac_matches_golden_vector() {
+        let (mut device, spec) = fig4(PoxMode::Apex);
+        let req = request(&spec);
+        let resp = device.attest(&req);
+        assert!(resp.exec && resp.ivt.is_none());
+        assert_eq!(pox_crypto::hex::encode(&resp.mac), APEX_MAC_HEX);
+        assert_eq!(transcript_mac(&spec, &req, &resp), resp.mac);
+        let apex = PoxVerifier::new(KEY, spec.expected_er.clone());
+        assert_eq!(apex.verify_apex(&req, &resp), Ok(()));
+        assert!(conclude_seventh(spec, &resp));
+    }
+
+    #[test]
+    fn fig4_attest_bytes_response_matches_golden_vector() {
+        let (mut device, spec) = fig4(PoxMode::Asap);
+        let bytes = device.attest_bytes(&request(&spec).to_bytes()).unwrap();
+        assert_eq!(pox_crypto::hex::encode(&bytes), ASAP_RESPONSE_HEX);
+        let resp = PoxResponse::from_bytes(&bytes).unwrap();
+        assert_eq!(pox_crypto::hex::encode(&resp.mac), ASAP_MAC_HEX);
+    }
+}

@@ -1,13 +1,33 @@
 //! Property-based tests of the PoX protocol: honest responses always
 //! verify; any single-field tamper is always rejected.
 
-use apex_pox::protocol::{pox_items, PoxResponse, PoxVerifier};
+use apex_pox::protocol::{PoxMeasurement, PoxResponse, PoxVerifier};
 use asap::{AsapVerifier, PoxMode, VerifierSpec};
 use openmsp430::mem::MemRegion;
+use pox_crypto::hmac::HmacKey;
 use proptest::prelude::*;
-use vrased::swatt::attest;
+use vrased::swatt::CHAL_LEN;
 
 const KEY: &[u8] = b"prop-key";
+
+/// The prover's SW-Att MAC under `KEY` over `EXEC ‖ ER ‖ OR (‖ IVT)`.
+fn mac(
+    chal: &[u8; CHAL_LEN],
+    exec: bool,
+    (er, er_bytes): (MemRegion, &[u8]),
+    (or, or_bytes): (MemRegion, &[u8]),
+    ivt: Option<(MemRegion, &[u8])>,
+) -> [u8; 32] {
+    PoxMeasurement {
+        exec,
+        er,
+        er_bytes,
+        or,
+        or_bytes,
+        ivt,
+    }
+    .attest(&HmacKey::new(KEY), chal)
+}
 
 fn er_region() -> MemRegion {
     MemRegion::new(0xE000, 0xE1FF)
@@ -30,12 +50,11 @@ proptest! {
     ) {
         let mut vrf = PoxVerifier::new(KEY, er_bytes.clone());
         let req = vrf.request(er_region(), or_region());
-        let items = pox_items(true, req.er, &er_bytes, req.or, &out, None);
         let resp = PoxResponse {
             exec: true,
+            mac: mac(&req.chal.0, true, (req.er, &er_bytes), (req.or, &out), None),
             output: out,
             ivt: None,
-            mac: attest(KEY, &req.chal.0, &items),
         };
         prop_assert!(vrf.verify_apex(&req, &resp).is_ok());
     }
@@ -52,12 +71,11 @@ proptest! {
         infected[i] ^= 1 << bit;
         let mut vrf = PoxVerifier::new(KEY, er_bytes);
         let req = vrf.request(er_region(), or_region());
-        let items = pox_items(true, req.er, &infected, req.or, b"out", None);
         let resp = PoxResponse {
             exec: true,
             output: b"out".to_vec(),
             ivt: None,
-            mac: attest(KEY, &req.chal.0, &items),
+            mac: mac(&req.chal.0, true, (req.er, &infected), (req.or, b"out"), None),
         };
         prop_assert!(vrf.verify_apex(&req, &resp).is_err());
     }
@@ -71,12 +89,11 @@ proptest! {
         let er_bytes = vec![0x4A; 64];
         let mut vrf = PoxVerifier::new(KEY, er_bytes.clone());
         let req = vrf.request(er_region(), or_region());
-        let items = pox_items(true, req.er, &er_bytes, req.or, &out, None);
         let mut resp = PoxResponse {
             exec: true,
+            mac: mac(&req.chal.0, true, (req.er, &er_bytes), (req.or, &out), None),
             output: out,
             ivt: None,
-            mac: attest(KEY, &req.chal.0, &items),
         };
         let i = idx % resp.output.len();
         resp.output[i] ^= 0xFF;
@@ -110,14 +127,17 @@ proptest! {
         // Honest IVT: only the expected vector points into ER.
         let ivt = AsapVerifier::render_ivt(&[(isr_vector, isr_addr)]);
         let session = vrf.begin();
-        let items = pox_items(
-            true, er, &spec.expected_er, or_region(), b"out", Some((ivt_region(), &ivt)),
-        );
         let resp = PoxResponse {
             exec: true,
             output: b"out".to_vec(),
+            mac: mac(
+                session.request().chal.as_bytes(),
+                true,
+                (er, &spec.expected_er),
+                (or_region(), b"out"),
+                Some((ivt_region(), &ivt)),
+            ),
             ivt: Some(ivt),
-            mac: attest(KEY, session.request().chal.as_bytes(), &items),
         };
         prop_assert!(session.evidence(resp).conclude(&vrf).is_verified());
 
@@ -125,14 +145,17 @@ proptest! {
         let bad_ivt =
             AsapVerifier::render_ivt(&[(isr_vector, isr_addr), (rogue_vector, rogue_addr)]);
         let session = vrf.begin();
-        let items = pox_items(
-            true, er, &spec.expected_er, or_region(), b"out", Some((ivt_region(), &bad_ivt)),
-        );
         let resp = PoxResponse {
             exec: true,
             output: b"out".to_vec(),
+            mac: mac(
+                session.request().chal.as_bytes(),
+                true,
+                (er, &spec.expected_er),
+                (or_region(), b"out"),
+                Some((ivt_region(), &bad_ivt)),
+            ),
             ivt: Some(bad_ivt),
-            mac: attest(KEY, session.request().chal.as_bytes(), &items),
         };
         prop_assert!(!session.evidence(resp).conclude(&vrf).is_verified());
     }
@@ -143,12 +166,11 @@ proptest! {
         let er_bytes = vec![0x11; 64];
         let mut vrf = PoxVerifier::new(KEY, er_bytes.clone());
         let req1 = vrf.request(er_region(), or_region());
-        let items = pox_items(true, req1.er, &er_bytes, req1.or, &out, None);
         let resp = PoxResponse {
             exec: true,
+            mac: mac(&req1.chal.0, true, (req1.er, &er_bytes), (req1.or, &out), None),
             output: out,
             ivt: None,
-            mac: attest(KEY, &req1.chal.0, &items),
         };
         let req2 = vrf.request(er_region(), or_region());
         prop_assert!(vrf.verify_apex(&req1, &resp).is_ok());
