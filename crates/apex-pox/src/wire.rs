@@ -380,16 +380,23 @@ impl Envelope {
 /// the bug originates — every frame [`Envelope::to_bytes`] can legally
 /// produce fits.
 pub fn frame_stream(envelope: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + envelope.len());
+    frame_stream_into(&mut out, envelope);
+    out
+}
+
+/// [`frame_stream`] appending to `out` instead of allocating: a sender
+/// that batches frames into one buffer gets the same bytes as the
+/// concatenation of their [`frame_stream`]s.
+pub fn frame_stream_into(out: &mut Vec<u8>, envelope: &[u8]) {
     debug_assert!(
         envelope.len() <= MAX_FRAME_LEN as usize,
         "frame of {} bytes exceeds MAX_FRAME_LEN ({MAX_FRAME_LEN}): the peer would reject it \
          as an unrecoverable protocol violation",
         envelope.len()
     );
-    let mut out = Vec::with_capacity(4 + envelope.len());
     out.extend_from_slice(&(envelope.len() as u32).to_le_bytes());
     out.extend_from_slice(envelope);
-    out
 }
 
 /// Incremental decoder for [`frame_stream`]-framed byte streams.

@@ -62,7 +62,7 @@ use crate::round::{RoundOutcome, RoundReport};
 use crate::stream::{pump_read, ReadPump, WritePump};
 use crate::DeviceId;
 use apex_pox::wire::{frame_stream, Envelope};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -215,30 +215,30 @@ pub struct ReactorStats {
 /// challenged devices in challenge order (each device's outcomes in its
 /// owner's local order), then everything unattributable or unsolicited,
 /// grouped by reactor index.
+///
+/// `order` is the round's deduplicated challenge order. Every outcome
+/// is keyed by its device's rank in it — `usize::MAX` when it has no
+/// device or one that was not challenged — and the reactor-major
+/// concatenation is stable-sorted on that rank alone: stability keeps
+/// equal ranks in (reactor index, local order).
 pub(crate) fn merge_reports(order: &[DeviceId], reports: Vec<RoundReport>) -> RoundReport {
-    let challenged: HashSet<DeviceId> = order.iter().copied().collect();
-    let mut buckets: Vec<HashMap<DeviceId, Vec<RoundOutcome>>> = Vec::new();
-    let mut leftovers: Vec<RoundOutcome> = Vec::new();
-    for report in reports {
-        let mut bucket: HashMap<DeviceId, Vec<RoundOutcome>> = HashMap::new();
-        for outcome in report.outcomes {
-            match outcome.device {
-                Some(id) if challenged.contains(&id) => bucket.entry(id).or_default().push(outcome),
-                _ => leftovers.push(outcome),
-            }
-        }
-        buckets.push(bucket);
+    let rank_of: HashMap<DeviceId, usize> = order
+        .iter()
+        .enumerate()
+        .map(|(rank, &id)| (id, rank))
+        .collect();
+    let mut ranked: Vec<(usize, RoundOutcome)> = reports
+        .into_iter()
+        .flat_map(|report| report.outcomes)
+        .map(|outcome| {
+            let rank = outcome.device.and_then(|id| rank_of.get(&id).copied());
+            (rank.unwrap_or(usize::MAX), outcome)
+        })
+        .collect();
+    ranked.sort_by_key(|&(rank, _)| rank);
+    RoundReport {
+        outcomes: ranked.into_iter().map(|(_, outcome)| outcome).collect(),
     }
-    let mut outcomes = Vec::new();
-    for id in order {
-        for bucket in &mut buckets {
-            if let Some(settled) = bucket.remove(id) {
-                outcomes.extend(settled);
-            }
-        }
-    }
-    outcomes.append(&mut leftovers);
-    RoundReport { outcomes }
 }
 
 /// One reactor mid-flight: its persistent state plus every in-flight
@@ -717,5 +717,89 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use apex_pox::wire::WireError;
+
+    fn on(id: u64, result: Result<asap::Attested, FleetError>) -> RoundOutcome {
+        RoundOutcome {
+            device: Some(DeviceId(id)),
+            result,
+        }
+    }
+
+    fn verified(id: u64) -> RoundOutcome {
+        on(
+            id,
+            Ok(asap::Attested {
+                output: vec![id as u8],
+                ivt: None,
+            }),
+        )
+    }
+
+    fn garbled(marker: u8) -> RoundOutcome {
+        RoundOutcome {
+            device: None,
+            result: Err(FleetError::Frame(WireError::BadMessageType(marker))),
+        }
+    }
+
+    /// The merge contract, pinned on hand-built partial reports whose
+    /// settlement order deliberately disagrees with the challenge order.
+    #[test]
+    fn merge_orders_by_challenge_then_leftovers_by_reactor() {
+        let order = [DeviceId(5), DeviceId(1), DeviceId(9), DeviceId(3)];
+        let reactor0 = RoundReport {
+            outcomes: vec![
+                garbled(0xA0),
+                verified(3),
+                on(42, Err(FleetError::NoSession(DeviceId(42)))),
+                // Device 1 settled twice: a deadline verdict, then a
+                // late frame. Its owner's local order must survive.
+                on(1, Err(FleetError::NoResponse(DeviceId(1)))),
+                verified(5),
+                on(1, Err(FleetError::NoSession(DeviceId(1)))),
+            ],
+        };
+        let reactor1 = RoundReport {
+            outcomes: vec![
+                garbled(0xB0),
+                verified(9),
+                // A challenged device heard on two reactors: owners are
+                // taken in reactor order.
+                on(3, Err(FleetError::NoSession(DeviceId(3)))),
+                garbled(0xB1),
+            ],
+        };
+        let reactor2 = RoundReport {
+            outcomes: vec![on(7, Err(FleetError::NoSession(DeviceId(7))))],
+        };
+
+        let merged = merge_reports(&order, vec![reactor0, reactor1, reactor2]);
+        assert_eq!(
+            merged.outcomes,
+            vec![
+                // Challenged devices, in challenge order...
+                verified(5),
+                on(1, Err(FleetError::NoResponse(DeviceId(1)))),
+                on(1, Err(FleetError::NoSession(DeviceId(1)))),
+                verified(9),
+                verified(3),
+                on(3, Err(FleetError::NoSession(DeviceId(3)))),
+                // ...then leftovers (unattributable frames and evidence
+                // from unchallenged ids), grouped by reactor index, each
+                // group in its reactor's local order.
+                garbled(0xA0),
+                on(42, Err(FleetError::NoSession(DeviceId(42)))),
+                garbled(0xB0),
+                garbled(0xB1),
+                on(7, Err(FleetError::NoSession(DeviceId(7)))),
+            ]
+        );
     }
 }
