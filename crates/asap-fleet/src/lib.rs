@@ -7,11 +7,11 @@
 //!
 //! * [`DeviceId`] — a 64-bit fleet-wide prover identity, carried on the
 //!   wire by the [`apex_pox::wire::Envelope`] frame;
-//! * [`FleetVerifier`] — one [`asap::AsapVerifier`] per device behind a
-//!   fixed array of independently locked shards, so sessions on
-//!   different devices never contend; large frame batches verify their
-//!   MACs on a [`std::thread::scope`] worker pool
-//!   ([`FleetVerifier::conclude_batch`], [`registry`]);
+//! * [`FleetVerifier`] — one [`asap::AsapVerifier`] per device behind an
+//!   array of independently locked shards, so sessions on different
+//!   devices never contend; each response frame is concluded — one MAC
+//!   recomputation — on the thread that hands it in
+//!   ([`FleetVerifier::conclude`], [`registry`]);
 //! * [`RoundEngine`] — the whole round protocol as a **sans-IO state
 //!   machine** ([`engine`]): feed it events (`frame_received`, `tick`
 //!   on injected [`LogicalTime`]), drain actions (`poll_transmit`,
@@ -23,23 +23,25 @@
 //!   are thin lock-step drivers over the engine, judging every response
 //!   with per-device isolation: one garbled or forged frame rejects
 //!   that device alone, never the round ([`round`]);
-//! * [`Transport`] — the non-blocking byte pump (`send` / `try_recv`)
-//!   behind lock-step rounds; the in-memory [`Loopback`] wires it to
-//!   real simulated devices ([`transport`]);
+//! * [`Loopback`] — the in-memory, non-blocking frame pump (`send` /
+//!   `try_recv`) behind lock-step rounds, wired to real simulated
+//!   devices ([`transport`]);
 //! * [`FleetRuntime`] — the socket driver: persistent reactor threads
 //!   serving many concurrent TCP/UDS prover connections, framed by the
-//!   non-blocking halves in [`stream`] ([`runtime`], [`reactor`]).
+//!   non-blocking halves in [`stream`] ([`runtime`], [`reactor`]). Each
+//!   reactor concludes its own devices' MACs inline, so reactors are
+//!   the runtime's only parallelism.
 //!
 //! # Two driving modes
 //!
 //! Everything funnels into the same engine through one of two drivers:
 //!
 //! 1. **Lock-step reference** — [`FleetVerifier::run_round`] (and
-//!    [`FleetDirectory::run_epoch`]) pumps a [`Transport`] with no
+//!    [`FleetDirectory::run_epoch`]) pumps a [`Loopback`] with no
 //!    clock at all: every request goes out, every immediately available
-//!    response comes back, and the round settles. Over [`Loopback`]
-//!    this is the deterministic reference the corpus, scenario and
-//!    property suites rely on.
+//!    response comes back, and the round settles. This is the
+//!    deterministic reference the corpus, scenario and property suites
+//!    rely on.
 //! 2. **[`FleetRuntime`]** — the one I/O driver for real sockets. It
 //!    owns a listening socket plus every accepted prover connection,
 //!    each with its own deframer and bounded write queue, serviced by
@@ -169,7 +171,7 @@ pub use registry::{FleetVerifier, Verdict, SHARD_COUNT};
 pub use round::{RoundOutcome, RoundReport};
 pub use runtime::FleetRuntime;
 pub use stream::{announce_devices, pump_read, serve_frames, ReadPump, WritePump, WriteQueue};
-pub use transport::{Loopback, Transport};
+pub use transport::Loopback;
 
 use std::fmt;
 
@@ -513,15 +515,13 @@ mod tests {
         assert!(engine.is_settled());
     }
 
-    /// Regression: when one batch carries several frames for the same
-    /// device, the worker pool used to let thread scheduling pick
-    /// which frame claimed the session. The *first frame in input
-    /// order* must win, with repeats settling as `NoSession`.
+    /// When one batch carries several frames for the same device, the
+    /// *first frame in input order* must win, with repeats settling as
+    /// `NoSession`.
     #[test]
     fn batch_duplicates_resolve_in_input_order() {
-        const DEVICES: u64 = 40; // comfortably past the pool threshold
+        const DEVICES: u64 = 40;
         let (fleet, mut fabric) = fleet_of(DEVICES);
-        fleet.set_parallelism(4); // force the pooled path even on 1 cpu
         let ids: Vec<DeviceId> = (1..=DEVICES).map(DeviceId).collect();
 
         for _ in 0..3 {

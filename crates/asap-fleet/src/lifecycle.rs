@@ -64,7 +64,7 @@ use crate::gateway::GatewayListener;
 use crate::registry::{FleetVerifier, SHARD_COUNT};
 use crate::round::RoundReport;
 use crate::runtime::FleetRuntime;
-use crate::transport::Transport;
+use crate::transport::Loopback;
 use crate::DeviceId;
 use asap::VerifierSpec;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -646,19 +646,16 @@ impl FleetDirectory {
         }
     }
 
-    /// One epoch, lock-step over a [`Transport`] —
+    /// One epoch, lock-step over a [`Loopback`] fabric —
     /// [`begin_epoch`](FleetDirectory::begin_epoch) handed to
     /// [`FleetVerifier::run_round`].
     ///
     /// # Errors
     ///
     /// Round-level errors from the driver; the epoch still advanced.
-    pub fn run_epoch<T: Transport + ?Sized>(
-        &self,
-        transport: &mut T,
-    ) -> Result<(EpochPlan, RoundReport), FleetError> {
+    pub fn run_epoch(&self, fabric: &mut Loopback) -> Result<(EpochPlan, RoundReport), FleetError> {
         let plan = self.begin_epoch();
-        let report = self.fleet.run_round(&plan.cohort, transport)?;
+        let report = self.fleet.run_round(&plan.cohort, fabric)?;
         Ok((plan, report))
     }
 

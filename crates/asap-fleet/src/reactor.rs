@@ -242,8 +242,8 @@ pub(crate) fn merge_reports(order: &[DeviceId], reports: Vec<RoundReport>) -> Ro
 }
 
 /// One reactor mid-flight: its persistent state plus every in-flight
-/// epoch's engine (up to the runtime's pipeline depth), the shared
-/// inbound batch and channel ends.
+/// epoch's engine (up to the runtime's pipeline depth), the sweep's
+/// inbound evidence and channel ends.
 pub(crate) struct ReactorRun<'run, C: GatewayConn> {
     pub(crate) me: usize,
     pub(crate) reactors: usize,
@@ -256,13 +256,16 @@ pub(crate) struct ReactorRun<'run, C: GatewayConn> {
     /// are charged to the oldest epoch, which is the only epoch when
     /// rounds are not pipelined.
     pub(crate) engines: Vec<EpochRun<'run>>,
-    /// Evidence gathered this sweep (local reads + forwarded mail),
-    /// concluded as one batch on the MAC pool.
+    /// Evidence gathered this sweep (local reads + forwarded mail), in
+    /// arrival order; concluded inline by
+    /// [`conclude_inbound`](Self::conclude_inbound), which keeps the
+    /// allocation for the next sweep.
     pub(crate) inbound: Vec<Vec<u8>>,
     /// Mailed `Charge`s, applied only *after* the sweep's evidence
-    /// batch concludes: a mate's channel delivers evidence before the
-    /// hangup charge (stream order), and the charge must not outrun the
-    /// evidence just because conclusion is batched.
+    /// concludes: a mate's channel delivers evidence before the hangup
+    /// charge (stream order), and the charge must not outrun the
+    /// evidence just because conclusion waits for the end of the
+    /// sweep's reads.
     pub(crate) pending_charges: Vec<DeviceId>,
     /// Round descriptors mailed by the runtime, begun at the top of the
     /// next sweep.
@@ -272,7 +275,6 @@ pub(crate) struct ReactorRun<'run, C: GatewayConn> {
     /// Reused transmit staging: drained engine challenges awaiting
     /// routing, so pumping allocates nothing in the steady state.
     tx_scratch: Vec<(DeviceId, Vec<u8>)>,
-    pub(crate) workers: usize,
     pub(crate) progressed: bool,
 }
 
@@ -284,7 +286,6 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
         state: &'run mut ReactorState<C>,
         route: &'run Mutex<HashMap<DeviceId, Route>>,
         mates: &'run [Sender<ReactorMsg<C>>],
-        workers: usize,
     ) -> ReactorRun<'run, C> {
         ReactorRun {
             me,
@@ -299,7 +300,6 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
             pending_begins: Vec::new(),
             shutdown: false,
             tx_scratch: Vec::new(),
-            workers,
             progressed: false,
         }
     }
@@ -638,26 +638,28 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
         }
     }
 
-    /// Concludes the sweep's gathered evidence as one batch on the
-    /// runtime's shared MAC pool and feeds each verdict to the epoch
-    /// awaiting its device. Verdicts that belong to no awaited device
-    /// (unsolicited evidence, unattributable frames) land in the oldest
-    /// in-flight epoch. The inbound buffer comes back cleared for the
-    /// next sweep.
+    /// Concludes the sweep's gathered evidence inline, one frame at a
+    /// time in arrival order, and feeds each verdict to the epoch
+    /// awaiting its device. Arrival order is the whole duplicate rule:
+    /// the first frame for a device claims its session, and a repeat
+    /// finds none and settles as [`FleetError::NoSession`]. Verdicts
+    /// that belong to no awaited device (unsolicited evidence,
+    /// unattributable frames) land in the oldest in-flight epoch. The
+    /// inbound buffer keeps its capacity for the next sweep.
     pub(crate) fn conclude_inbound(&mut self) {
         if self.inbound.is_empty() {
             return;
         }
         self.progressed = true;
-        let frames = std::mem::take(&mut self.inbound);
-        let (verdicts, recycled) = self.fleet.conclude_batch_pooled(frames, self.workers);
-        self.inbound = recycled;
-        for (device, result) in verdicts {
+        let mut frames = std::mem::take(&mut self.inbound);
+        for frame in frames.drain(..) {
+            let (device, result) = self.fleet.conclude(&frame);
             let target = device.and_then(|id| self.epoch_awaiting(id)).unwrap_or(0);
             if let Some(e) = self.engines.get_mut(target) {
                 e.engine.outcome_received(device, result);
             }
         }
+        self.inbound = frames;
     }
 
     /// Applies the sweep's mailed hangup charges. Runs after

@@ -22,15 +22,14 @@
 use crate::engine::{RoundConfig, RoundEngine};
 use crate::error::FleetError;
 use crate::round::RoundReport;
-use crate::transport::Transport;
+use crate::transport::Loopback;
 use crate::DeviceId;
 use apex_pox::wire::Envelope;
 use asap::session::{Issued, PoxSession};
 use asap::{AsapVerifier, Attested, VerifierSpec};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Default number of registry shards
 /// ([`FleetVerifier::new`]; override with
@@ -56,36 +55,6 @@ struct Shard {
     devices: HashMap<DeviceId, DeviceEntry>,
 }
 
-/// One chunk of MAC-conclusion work dispatched to an attached runtime
-/// pool: conclude `frames[indices]` against `fleet` and send the
-/// `(input index, verdict)` pairs back over `reply`.
-///
-/// Crate-internal: [`FleetRuntime`](crate::FleetRuntime) owns the
-/// worker threads that consume these; the registry only produces them
-/// (see [`FleetVerifier::conclude_batch_pooled`]).
-pub(crate) struct ConcludeJob {
-    pub(crate) fleet: Arc<FleetVerifier>,
-    pub(crate) frames: Arc<Vec<Vec<u8>>>,
-    pub(crate) indices: Vec<usize>,
-    pub(crate) reply: Sender<Vec<(usize, Verdict)>>,
-}
-
-/// Clears a frame buffer for reuse by the caller's next sweep: the
-/// allocation survives, the stale frames do not.
-fn recycled(mut frames: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-    frames.clear();
-    frames
-}
-
-/// A runtime-attached conclude pool: where to send [`ConcludeJob`]s,
-/// how many workers drain them, and a weak self-reference so jobs can
-/// carry an owning handle to this very registry.
-struct AttachedPool {
-    tx: Sender<ConcludeJob>,
-    me: Weak<FleetVerifier>,
-    workers: usize,
-}
-
 /// A verifier for a whole fleet of provers, keyed by [`DeviceId`].
 ///
 /// All methods take `&self`: the registry is internally synchronized
@@ -106,18 +75,11 @@ pub struct FleetVerifier {
     /// Serializes [`grow_shards`](FleetVerifier::grow_shards) calls so
     /// at most one doubling is in flight.
     grow_lock: Mutex<()>,
-    /// Worker cap for [`conclude_batch`](FleetVerifier::conclude_batch);
-    /// `0` means "follow [`std::thread::available_parallelism`]".
-    conclude_workers: AtomicUsize,
     /// Bumped on every [`remove`](FleetVerifier::remove):
     /// [`RoundEngine::sync_membership`] rescans its awaited devices only
     /// when this moved, so churn detection is one atomic load per sweep
     /// in the steady state.
     churn_generation: AtomicU64,
-    /// The shared MAC-conclusion pool a [`FleetRuntime`](crate::FleetRuntime)
-    /// attaches for the lifetime of the runtime; `None` for standalone
-    /// registries, which fall back to the per-batch scoped pool.
-    pool: Mutex<Option<AttachedPool>>,
 }
 
 impl Default for FleetVerifier {
@@ -133,9 +95,10 @@ impl FleetVerifier {
     }
 
     /// An empty fleet over `shards` lock shards (clamped to at least
-    /// one). More shards mean less lock contention for wide conclude
-    /// pools and many-reactor runtimes; each shard is one mutex plus
-    /// one hash map, so a million-device fleet can afford hundreds.
+    /// one). More shards mean less lock contention between the threads
+    /// that share the registry — a many-reactor runtime's reactors
+    /// above all; each shard is one mutex plus one hash map, so a
+    /// million-device fleet can afford hundreds.
     pub fn with_shards(shards: usize) -> FleetVerifier {
         let shards = shards.max(1);
         FleetVerifier {
@@ -146,9 +109,7 @@ impl FleetVerifier {
             ),
             layout: AtomicU64::new(Self::pack_layout(shards, 0)),
             grow_lock: Mutex::new(()),
-            conclude_workers: AtomicUsize::new(0),
             churn_generation: AtomicU64::new(0),
-            pool: Mutex::new(None),
         }
     }
 
@@ -300,27 +261,6 @@ impl FleetVerifier {
         self.layout
             .store(Self::pack_layout(base * 2, 0), Ordering::Release);
         base * 2
-    }
-
-    /// Caps the [`conclude_batch`](FleetVerifier::conclude_batch)
-    /// worker pool at `workers` threads; `0` restores the default of
-    /// following [`std::thread::available_parallelism`]. A
-    /// [`FleetRuntime`](crate::FleetRuntime) sizes its shared MAC pool
-    /// by this knob, and each reactor's fallback share is
-    /// `parallelism / reactors` workers, so reactors and MAC workers
-    /// together never oversubscribe the machine.
-    pub fn set_parallelism(&self, workers: usize) {
-        self.conclude_workers.store(workers, Ordering::Relaxed);
-    }
-
-    /// The effective [`conclude_batch`](FleetVerifier::conclude_batch)
-    /// worker cap: the configured knob, or
-    /// [`std::thread::available_parallelism`] when unset.
-    pub fn parallelism(&self) -> usize {
-        match self.conclude_workers.load(Ordering::Relaxed) {
-            0 => std::thread::available_parallelism().map_or(1, usize::from),
-            n => n,
-        }
     }
 
     /// Enrolls a device under its shared key and image-derived spec.
@@ -572,222 +512,17 @@ impl FleetVerifier {
         (Some(id), result)
     }
 
-    /// Concludes a whole batch of response frames, MAC verification
-    /// fanned out onto a [`std::thread::scope`] worker pool when the
-    /// batch is large enough to pay for the threads. Results come back
-    /// in **input order**, so callers can feed them to
-    /// [`RoundEngine::outcome_received`] and get the same report a
-    /// serial conclusion would have produced.
+    /// Concludes a whole batch of response frames, in **input order**:
+    /// exactly `frames.iter().map(|f| self.conclude(f))`. Callers can
+    /// feed the verdicts to [`RoundEngine::outcome_received`] and get
+    /// the report a frame-at-a-time driver would have produced.
     ///
-    /// This is where the sharded registry earns its sharding: each
-    /// worker's [`conclude`](FleetVerifier::conclude) holds a shard
-    /// lock only for the session pop, and the MAC recomputation — the
-    /// actual work — runs outside all locks, so workers on devices in
-    /// different shards never contend.
-    ///
-    /// Duplicates are resolved deterministically: when a batch carries
+    /// Duplicates resolve deterministically: when a batch carries
     /// *several* frames for the same device, the **first frame in input
-    /// order** contends for the in-flight session, and every later one
-    /// settles as [`FleetError::NoSession`] — exactly what a serial
-    /// pass over the batch would produce, regardless of how the pool
-    /// schedules its workers.
-    ///
-    /// The worker count follows [`parallelism`](FleetVerifier::parallelism)
-    /// (all available cores unless capped with
-    /// [`set_parallelism`](FleetVerifier::set_parallelism)). When a
-    /// [`FleetRuntime`](crate::FleetRuntime) pool is attached, the
-    /// batch dispatches to those persistent workers instead of spawning
-    /// a scoped pool — one frame-buffer copy buys out the per-batch
-    /// thread spawn/join tax.
+    /// order** claims the in-flight session, and every later one
+    /// settles as [`FleetError::NoSession`].
     pub fn conclude_batch(&self, frames: &[Vec<u8>]) -> Vec<Verdict> {
-        if self.has_conclude_pool() {
-            let (verdicts, _) = self.conclude_batch_pooled(frames.to_vec(), self.parallelism());
-            return verdicts;
-        }
-        self.conclude_batch_with(frames, self.parallelism())
-    }
-
-    /// [`conclude_batch`](FleetVerifier::conclude_batch) with an
-    /// explicit worker cap, for callers that already own some of the
-    /// machine — a [`FleetRuntime`](crate::FleetRuntime) reactor with
-    /// no pool attached concludes with `parallelism / reactors` workers
-    /// so the reactors' pools together never oversubscribe the cores.
-    pub fn conclude_batch_with(&self, frames: &[Vec<u8>], workers: usize) -> Vec<Verdict> {
-        /// Below this, thread spawn/join costs more than it buys.
-        const PARALLEL_MIN: usize = 32;
-
-        if frames.len() < PARALLEL_MIN || workers < 2 {
-            return frames.iter().map(|f| self.conclude(f)).collect();
-        }
-
-        // Only the *first* frame per device (in input order) races on
-        // the pool; repeats are deferred. Undecodable frames carry no
-        // device id and cannot collide, so they pool freely.
-        let mut seen = HashSet::new();
-        let mut pooled: Vec<usize> = Vec::with_capacity(frames.len());
-        let mut deferred: Vec<usize> = Vec::new();
-        for (i, frame) in frames.iter().enumerate() {
-            match Envelope::from_bytes(frame) {
-                Ok(e) if !seen.insert(DeviceId(e.device_id)) => deferred.push(i),
-                _ => pooled.push(i),
-            }
-        }
-
-        let mut results: Vec<Option<Verdict>> = frames.iter().map(|_| None).collect();
-        let per_worker = Self::chunk_len(pooled.len(), workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = pooled
-                .chunks(per_worker)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|&i| (i, self.conclude(&frames[i])))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, result) in handle.join().expect("conclude worker never panics") {
-                    results[i] = Some(result);
-                }
-            }
-        });
-        // The pool has drained, so each device's first frame has
-        // already settled its session; these repeats now observe what
-        // a serial pass would — `NoSession` (or `UnknownDevice`).
-        for i in deferred {
-            results[i] = Some(self.conclude(&frames[i]));
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every input index concluded exactly once"))
-            .collect()
-    }
-
-    /// Frames per pool worker: the batch split as evenly as possible
-    /// across `workers` chunks. Never zero, and — unlike the old
-    /// hard-wired `workers.min(8)` — never capped below the requested
-    /// width, so `chunks(chunk_len(n, w))` yields `min(w, n)` chunks.
-    fn chunk_len(frames: usize, workers: usize) -> usize {
-        frames.div_ceil(workers.max(1)).max(1)
-    }
-
-    /// Attaches a long-lived MAC-conclusion worker pool:
-    /// [`conclude_batch_pooled`](FleetVerifier::conclude_batch_pooled)
-    /// will dispatch to `tx` instead of spawning a scoped pool per
-    /// batch. `me` must be a weak handle to the very `Arc` wrapping
-    /// this registry — jobs carry an upgraded clone so workers can
-    /// conclude against it without borrowing. Called by
-    /// [`FleetRuntime`](crate::FleetRuntime) at construction.
-    pub(crate) fn attach_conclude_pool(
-        &self,
-        tx: Sender<ConcludeJob>,
-        me: Weak<FleetVerifier>,
-        workers: usize,
-    ) {
-        *self.pool.lock().unwrap() = Some(AttachedPool { tx, me, workers });
-    }
-
-    /// Detaches the runtime pool; subsequent batches fall back to the
-    /// scoped pool. Called before the runtime shuts its workers down so
-    /// no batch can race a dying pool.
-    pub(crate) fn detach_conclude_pool(&self) {
-        *self.pool.lock().unwrap() = None;
-    }
-
-    /// True when a [`FleetRuntime`](crate::FleetRuntime) pool is
-    /// currently attached.
-    pub fn has_conclude_pool(&self) -> bool {
-        self.pool.lock().unwrap().is_some()
-    }
-
-    /// [`conclude_batch_with`](FleetVerifier::conclude_batch_with) over
-    /// an **owned** batch, routed through the attached runtime pool
-    /// when one exists. Returns the verdicts (input order, duplicate
-    /// resolution identical to the scoped path) plus the frame buffer
-    /// back, **cleared**, so a reactor can reuse its inbound `Vec`
-    /// across rounds instead of reallocating.
-    ///
-    /// The dispatch threshold is lower than the scoped pool's 32: a
-    /// persistent pool costs two channel hops (~a few µs) instead of a
-    /// thread spawn/join (~tens of µs), so fanning out pays for itself
-    /// at about a quarter the batch size. Batches under the threshold,
-    /// single-worker calls, and standalone registries (no pool
-    /// attached) all take the existing scoped/serial path.
-    pub fn conclude_batch_pooled(
-        &self,
-        frames: Vec<Vec<u8>>,
-        workers: usize,
-    ) -> (Vec<Verdict>, Vec<Vec<u8>>) {
-        /// Pool-dispatch floor: two mpsc hops per chunk amortize over
-        /// ~8 MAC recomputations, versus ~32 for a spawned thread.
-        const POOLED_MIN: usize = 8;
-
-        let pool = {
-            let pool = self.pool.lock().unwrap();
-            pool.as_ref()
-                .and_then(|p| p.me.upgrade().map(|me| (p.tx.clone(), me, p.workers)))
-        };
-        let Some((tx, me, pool_workers)) = pool else {
-            let verdicts = self.conclude_batch_with(&frames, workers);
-            return (verdicts, recycled(frames));
-        };
-        let lanes = workers.min(pool_workers);
-        if frames.len() < POOLED_MIN || lanes < 2 {
-            let verdicts = self.conclude_batch_with(&frames, workers);
-            return (verdicts, recycled(frames));
-        }
-
-        // Same duplicate discipline as the scoped pool: first frame per
-        // device races, repeats are deferred until the pool drains.
-        let mut seen = HashSet::new();
-        let mut pooled: Vec<usize> = Vec::with_capacity(frames.len());
-        let mut deferred: Vec<usize> = Vec::new();
-        for (i, frame) in frames.iter().enumerate() {
-            match Envelope::from_bytes(frame) {
-                Ok(e) if !seen.insert(DeviceId(e.device_id)) => deferred.push(i),
-                _ => pooled.push(i),
-            }
-        }
-
-        let mut results: Vec<Option<Verdict>> = frames.iter().map(|_| None).collect();
-        let frames = Arc::new(frames);
-        let per_lane = Self::chunk_len(pooled.len(), lanes);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut outstanding = 0usize;
-        for chunk in pooled.chunks(per_lane) {
-            tx.send(ConcludeJob {
-                fleet: Arc::clone(&me),
-                frames: Arc::clone(&frames),
-                indices: chunk.to_vec(),
-                reply: reply_tx.clone(),
-            })
-            .expect("runtime pool outlives every attached batch");
-            outstanding += 1;
-        }
-        drop(reply_tx);
-        for _ in 0..outstanding {
-            let batch = reply_rx
-                .recv()
-                .expect("pool workers always reply before exiting");
-            for (i, verdict) in batch {
-                results[i] = Some(verdict);
-            }
-        }
-        for i in deferred {
-            results[i] = Some(self.conclude(&frames[i]));
-        }
-        let verdicts = results
-            .into_iter()
-            .map(|r| r.expect("every input index concluded exactly once"))
-            .collect();
-        // Workers drop their `Arc` clones before replying, so by now we
-        // hold the only reference and get the buffer back for reuse; if
-        // the unwrap ever loses the race, a fresh Vec merely costs the
-        // caller its recycled capacity.
-        let frames = Arc::try_unwrap(frames).map_or_else(|_| Vec::new(), recycled);
-        (verdicts, frames)
+        frames.iter().map(|f| self.conclude(f)).collect()
     }
 
     /// Concludes a whole round: absorbs every response frame, then
@@ -800,10 +535,10 @@ impl FleetVerifier {
     /// only; every other frame in the round is still judged.
     ///
     /// A thin lock-step driver over [`RoundEngine`]: the frames are
-    /// concluded as one [`conclude_batch`](FleetVerifier::conclude_batch)
-    /// (so large rounds verify MACs on the worker pool), their verdicts
-    /// injected in frame order, and one tick at the lock-step deadline
-    /// settles the silent devices.
+    /// concluded in order on the calling thread
+    /// ([`conclude_batch`](FleetVerifier::conclude_batch)), their
+    /// verdicts injected in frame order, and one tick at the lock-step
+    /// deadline settles the silent devices.
     pub fn conclude_round(&self, challenged: &[DeviceId], frames: &[Vec<u8>]) -> RoundReport {
         let mut engine = RoundEngine::resume(self, challenged, RoundConfig::lockstep());
         for (device, result) in self.conclude_batch(frames) {
@@ -825,33 +560,32 @@ impl FleetVerifier {
         })
     }
 
-    /// Drives one full lock-step round over a [`Transport`]:
+    /// Drives one full lock-step round over a [`Loopback`] fabric:
     /// challenges every device in `ids`, pumps every request frame out
     /// and every immediately-available response frame back in, and
     /// settles. Devices whose response is not available by then are
     /// reported as [`FleetError::NoResponse`].
     ///
-    /// This is the zero-latency driver over [`RoundEngine`] — right
-    /// for [`Loopback`](crate::Loopback), where responses appear the
-    /// moment a request is sent. Provers with real latency belong
-    /// behind a [`FleetRuntime`](crate::FleetRuntime), which maps a
-    /// wall-clock response budget onto engine ticks, or a hand-rolled
-    /// engine loop.
+    /// This is the zero-latency driver over [`RoundEngine`]: over a
+    /// loopback, responses appear the moment a request is sent.
+    /// Provers with real latency belong behind a
+    /// [`FleetRuntime`](crate::FleetRuntime), which maps a wall-clock
+    /// response budget onto engine ticks, or a hand-rolled engine loop.
     ///
     /// # Errors
     ///
     /// [`FleetError::UnknownDevice`] when an id is not enrolled (no
     /// challenge is issued in that case).
-    pub fn run_round<T: Transport + ?Sized>(
+    pub fn run_round(
         &self,
         ids: &[DeviceId],
-        transport: &mut T,
+        fabric: &mut Loopback,
     ) -> Result<RoundReport, FleetError> {
         let mut engine = RoundEngine::begin(self, ids, RoundConfig::lockstep())?;
         while let Some((device, frame)) = engine.poll_transmit() {
-            transport.send(device, &frame);
+            fabric.send(device, &frame);
         }
-        while let Some(frame) = transport.try_recv() {
+        while let Some(frame) = fabric.try_recv() {
             engine.frame_received(&frame);
         }
         engine.tick(engine.now());
@@ -862,61 +596,6 @@ impl FleetVerifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn chunks_of(frames: usize, workers: usize) -> usize {
-        if frames == 0 {
-            return 0;
-        }
-        frames.div_ceil(FleetVerifier::chunk_len(frames, workers))
-    }
-
-    #[test]
-    fn chunking_uses_every_requested_worker() {
-        // The regression: `workers.min(8)` used to split 64 frames on
-        // a 16-way box into 8 chunks of 8 — half the pool idle.
-        assert_eq!(FleetVerifier::chunk_len(64, 16), 4);
-        assert_eq!(chunks_of(64, 16), 16);
-        assert_eq!(chunks_of(1024, 32), 32);
-    }
-
-    #[test]
-    fn chunking_never_yields_empty_or_excess_chunks() {
-        for frames in [1, 2, 31, 32, 33, 64, 100, 1000] {
-            for workers in [1, 2, 7, 8, 9, 16, 64, 1000] {
-                let len = FleetVerifier::chunk_len(frames, workers);
-                assert!(len >= 1, "chunks must be non-empty");
-                let chunks = chunks_of(frames, workers);
-                assert!(
-                    chunks <= workers.min(frames),
-                    "never more chunks than workers"
-                );
-                // No hard-wired cap (the old `workers.min(8)`): with
-                // enough frames to feed the pool, ceil-chunking keeps
-                // at least half the requested workers busy, however
-                // wide the pool.
-                if frames >= workers {
-                    assert!(
-                        chunks * 2 >= workers,
-                        "{frames} frames / {workers} workers → {chunks}"
-                    );
-                }
-            }
-        }
-        // Degenerate inputs stay sane rather than dividing by zero.
-        assert_eq!(FleetVerifier::chunk_len(0, 8), 1);
-        assert_eq!(FleetVerifier::chunk_len(5, 0), 5);
-    }
-
-    #[test]
-    fn parallelism_knob_round_trips_and_zero_means_auto() {
-        let fleet = FleetVerifier::new();
-        let auto = std::thread::available_parallelism().map_or(1, usize::from);
-        assert_eq!(fleet.parallelism(), auto);
-        fleet.set_parallelism(3);
-        assert_eq!(fleet.parallelism(), 3);
-        fleet.set_parallelism(0);
-        assert_eq!(fleet.parallelism(), auto);
-    }
 
     #[test]
     fn reactor_affinity_partitions_shards() {
@@ -1031,34 +710,6 @@ mod tests {
                 assert!(new == old || new == old + base, "{base}: {old} -> {new}");
             }
         }
-    }
-
-    #[test]
-    fn pooled_batch_without_runtime_falls_back_to_scoped() {
-        let image = asap::programs::fig4_authorized().unwrap();
-        let spec = Arc::new(VerifierSpec::from_image(&image).unwrap());
-        let fleet = FleetVerifier::new();
-        assert!(!fleet.has_conclude_pool());
-        for id in 0..4 {
-            fleet
-                .register_shared(DeviceId(id), b"k", Arc::clone(&spec))
-                .unwrap();
-        }
-        let frames: Vec<Vec<u8>> = (0..4)
-            .map(|id| fleet.begin(DeviceId(id)).unwrap())
-            .collect();
-        // Challenge frames are not evidence: every verdict is a
-        // rejection, but each is *attributed* and the buffer comes back
-        // cleared with its capacity intact.
-        let capacity = frames.capacity();
-        let (verdicts, recycled) = fleet.conclude_batch_pooled(frames, 4);
-        assert_eq!(verdicts.len(), 4);
-        for (i, (device, outcome)) in verdicts.iter().enumerate() {
-            assert_eq!(*device, Some(DeviceId(i as u64)));
-            assert!(outcome.is_err());
-        }
-        assert!(recycled.is_empty());
-        assert_eq!(recycled.capacity(), capacity);
     }
 
     #[test]

@@ -1,50 +1,30 @@
-//! How request frames reach provers and response frames come back.
+//! The in-process transport: request frames reach simulated provers
+//! and response frames come back, with no socket in between.
 //!
-//! A transport is a **non-blocking byte pump**: [`send`] puts one
+//! [`Loopback`] is a **non-blocking frame pump**: [`send`] puts one
 //! enveloped frame on the wire, [`try_recv`] returns a received frame
 //! if one is available *right now*. Nothing here blocks on a device —
 //! waiting, deadlines and verdicts all live in the sans-IO
-//! [`RoundEngine`](crate::RoundEngine), which any transport drives by
-//! pumping frames in and ticking logical time.
-//!
-//! The in-process [`Loopback`] wires frames straight into simulated
-//! [`Device`]s: the deterministic reference vehicle for tests,
-//! scenarios and benchmarks, driven lock-step by
+//! [`RoundEngine`](crate::RoundEngine). It wires frames straight into
+//! simulated [`Device`]s: the deterministic reference vehicle for
+//! tests, scenarios and benchmarks, driven lock-step by
 //! [`FleetVerifier::run_round`](crate::FleetVerifier::run_round).
 //! Provers in other processes or hosts speak to a
 //! [`FleetRuntime`](crate::FleetRuntime) over sockets instead.
 //!
-//! [`send`]: Transport::send
-//! [`try_recv`]: Transport::try_recv
+//! [`send`]: Loopback::send
+//! [`try_recv`]: Loopback::try_recv
 
 use crate::DeviceId;
 use apex_pox::wire::Envelope;
 use asap::Device;
 use std::collections::{HashMap, VecDeque};
 
-/// A non-blocking frame pump between the verifier and its provers.
-pub trait Transport {
-    /// Puts one enveloped request frame on the wire towards `device`.
-    /// Delivery is best-effort: a transport reports loss by the
-    /// response simply never appearing in [`try_recv`], never by
-    /// forging frames — the engine's deadline then charges the device
-    /// [`NoResponse`](crate::FleetError::NoResponse).
-    ///
-    /// [`try_recv`]: Transport::try_recv
-    fn send(&mut self, device: DeviceId, frame: &[u8]);
-
-    /// The next received enveloped response frame, if one is available
-    /// without blocking indefinitely. Implementations may wait a
-    /// bounded interval (a socket read timeout); `None` means "nothing
-    /// yet", and the driver should `tick` the engine.
-    fn try_recv(&mut self) -> Option<Vec<u8>>;
-}
-
 /// An in-memory transport backed by real simulated devices.
 ///
-/// [`send`](Transport::send) unwraps the frame, dispatches it to the
+/// [`send`](Loopback::send) unwraps the frame, dispatches it to the
 /// owned [`Device`]'s [`attest_bytes`](Device::attest_bytes), and
-/// queues the re-enveloped response for [`try_recv`](Transport::try_recv)
+/// queues the re-enveloped response for [`try_recv`](Loopback::try_recv)
 /// — exactly the work a network stack plus the prover's UART shim
 /// would do, minus the latency.
 #[derive(Default)]
@@ -83,7 +63,8 @@ impl Loopback {
     /// One synchronous exchange, bypassing the receive queue: the
     /// device's response to `frame`, if it answers. A convenience for
     /// tests and scenario priming that need a specific device's frame
-    /// in hand; round driving goes through [`Transport`].
+    /// in hand; round driving goes through [`send`](Loopback::send) and
+    /// [`try_recv`](Loopback::try_recv).
     pub fn exchange(&mut self, device: DeviceId, frame: &[u8]) -> Option<Vec<u8>> {
         let envelope = Envelope::from_bytes(frame).ok()?;
         // A prover ignores frames addressed to somebody else.
@@ -94,16 +75,22 @@ impl Loopback {
         let response = prover.attest_bytes(&envelope.payload).ok()?;
         Some(Envelope::wrap(device.0, response).to_bytes())
     }
-}
 
-impl Transport for Loopback {
-    fn send(&mut self, device: DeviceId, frame: &[u8]) {
+    /// Puts one enveloped request frame on the wire towards `device`.
+    /// Delivery is best-effort: loss shows as the response never
+    /// appearing in [`try_recv`](Loopback::try_recv), never as a forged
+    /// frame — the engine's deadline then charges the device
+    /// [`NoResponse`](crate::FleetError::NoResponse).
+    pub fn send(&mut self, device: DeviceId, frame: &[u8]) {
         if let Some(response) = self.exchange(device, frame) {
             self.inbox.push_back(response);
         }
     }
 
-    fn try_recv(&mut self) -> Option<Vec<u8>> {
+    /// The next received enveloped response frame, if one is queued;
+    /// `None` means "nothing yet", and the driver should `tick` the
+    /// engine.
+    pub fn try_recv(&mut self) -> Option<Vec<u8>> {
         self.inbox.pop_front()
     }
 }

@@ -318,9 +318,8 @@ fn next_rand(state: &mut u64) -> u64 {
 
 /// The sustained series: `rounds` consecutive full-fleet rounds driven
 /// through **one** persistent [`FleetRuntime`] — reactors parked
-/// between rounds, connections adopted once, the MAC pool attached for
-/// the whole span, warmup excluded — which is the number a
-/// continuous-attestation deployment actually sustains.
+/// between rounds, connections adopted once, warmup excluded — which is
+/// the number a continuous-attestation deployment actually sustains.
 ///
 /// With `churn`, every round is preceded by one seeded leave (the
 /// victim re-enrolls after the round settles), so the soak also covers

@@ -6,13 +6,12 @@
 //! responses — against one [`FleetVerifier`], under a mixed APEX/ASAP
 //! fleet.
 //!
-//! A round is an **event schedule** over the sans-IO
-//! [`RoundEngine`](asap_fleet::RoundEngine): every response frame is
-//! assigned a delivery tick drawn from the seed, deliveries interleave
-//! out of challenge order, late devices answer on the last tick before
-//! the round deadline, and silent devices expire purely via `tick` —
-//! shapes the old blocking one-exchange-per-device API could not
-//! represent at all.
+//! A round is an **event schedule** over the sans-IO [`RoundEngine`]:
+//! every response frame is assigned a delivery tick drawn from the
+//! seed, deliveries interleave out of challenge order, late devices
+//! answer on the last tick before the round deadline, and silent
+//! devices expire purely via `tick` — shapes the old blocking
+//! one-exchange-per-device API could not represent at all.
 //!
 //! Everything is derived from a caller-supplied seed through a local
 //! xorshift generator: device keys, mode assignment, the scenario

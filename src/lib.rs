@@ -19,9 +19,9 @@
 //! * [`asap_fleet`] — fleet-scale verification: the `DeviceId`-keyed
 //!   `FleetVerifier` with its sharded session registry, the sans-IO
 //!   `RoundEngine` (events in, frames and deadlines out, on injected
-//!   logical time), the lock-step `Transport`/`Loopback` reference
-//!   driver, and `FleetRuntime`, the one socket driver serving framed
-//!   TCP/UDS prover connections on persistent reactor threads;
+//!   logical time), the lock-step `Loopback` reference driver, and
+//!   `FleetRuntime`, the one socket driver serving framed TCP/UDS
+//!   prover connections on persistent reactor threads;
 //! * [`rtl_synth`] — LUT/FF cost model (Fig. 6);
 //! * [`sim_wave`] — waveforms (Fig. 5).
 //!

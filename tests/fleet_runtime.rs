@@ -2,21 +2,22 @@
 //! (socketpairs and a TCP listener, provers served from another thread
 //! that shares nothing but bytes, silence and hangups resolved by
 //! deadline), reactors that park between rounds instead of being
-//! re-spawned, the shared MAC-conclusion pool, pipelined epochs with
-//! byte-identical per-epoch reports across every reactor count *and*
-//! pipeline depth, verdict attribution under churn with several epochs
-//! in flight, and online shard growth under live rounds with no pause
-//! and no verdict changes.
+//! re-spawned, duplicate evidence concluded inline in stream order,
+//! pipelined epochs with byte-identical per-epoch reports across every
+//! reactor count *and* pipeline depth, verdict attribution under churn
+//! with several epochs in flight, and online shard growth under live
+//! rounds with no pause and no verdict changes.
 
-use apex_pox::wire::{frame_stream, Envelope, StreamDeframer};
-use asap::{programs, PoxMode, VerifierSpec};
+use apex_pox::wire::{frame_stream, Envelope, StreamDeframer, ENVELOPE_OVERHEAD};
+use asap::{programs, Device, PoxMode, VerifierSpec};
 use asap_bench::fleet::{host_gateway_provers, DetRng};
 use asap_fleet::{
-    DeviceId, EpochPlan, FleetDirectory, FleetError, FleetRuntime, FleetVerifier, LifecycleConfig,
-    NoListener, RoundReport,
+    announce_devices, DeviceId, EpochPlan, FleetDirectory, FleetError, FleetRuntime, FleetVerifier,
+    LifecycleConfig, NoListener, RoundReport,
 };
 use proptest::prelude::*;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::sync::mpsc;
@@ -79,21 +80,15 @@ fn wait_session_pending(fleet: &FleetVerifier, id: DeviceId) {
 }
 
 /// The headline shape: one runtime, one connection, many rounds. The
-/// reactors park between rounds, the adopted connection survives them
-/// all, and the conclude pool stays attached for the runtime's whole
-/// life.
+/// reactors park between rounds and the adopted connection survives
+/// them all.
 #[test]
 fn persistent_runtime_reuses_connections_across_rounds() {
     let ids: Vec<DeviceId> = (1..=6).map(DeviceId).collect();
     let fleet = fleet_of(&ids, 4);
-    fleet.set_parallelism(4);
 
     let mut runtime: FleetRuntime<NoListener<UnixStream>> =
         FleetRuntime::detached(Arc::clone(&fleet), 2, 1);
-    assert!(
-        fleet.has_conclude_pool(),
-        "building the runtime attaches the shared MAC pool"
-    );
     assert_eq!(runtime.reactors(), 2);
     assert_eq!(runtime.depth(), 1);
 
@@ -114,11 +109,124 @@ fn persistent_runtime_reuses_connections_across_rounds() {
     assert_eq!(fleet.in_flight(), 0, "sessions leaked");
 
     drop(runtime);
-    assert!(
-        !fleet.has_conclude_pool(),
-        "dropping the runtime detaches the pool"
-    );
     host.join().unwrap();
+}
+
+/// Hosts provers for `ids` behind `stream` and answers a whole round
+/// in a single write: `forged`'s evidence with one payload bit flipped,
+/// its honest evidence right behind it, then every other device's
+/// evidence. Stays connected until the runtime hangs up.
+fn host_duplicate_evidence(
+    mut stream: UnixStream,
+    ids: Vec<DeviceId>,
+    forged: DeviceId,
+) -> JoinHandle<()> {
+    std::thread::spawn(move || {
+        let image = programs::fig4_authorized().unwrap();
+        let mut devices: HashMap<DeviceId, Device> = ids
+            .iter()
+            .map(|&id| {
+                let mut device = Device::builder(&image)
+                    .mode(PoxMode::Asap)
+                    .key(&key_for(id))
+                    .build()
+                    .unwrap();
+                assert!(device.run_until_pc(programs::done_pc(), 10_000));
+                (id, device)
+            })
+            .collect();
+        announce_devices(&mut stream, &ids).unwrap();
+
+        let mut deframer = StreamDeframer::new();
+        let mut challenges = Vec::new();
+        let mut buf = [0u8; 4096];
+        while challenges.len() < ids.len() {
+            let n = stream.read(&mut buf).unwrap();
+            assert!(n > 0, "the runtime hung up before challenging everyone");
+            deframer.extend(&buf[..n]);
+            while let Some(frame) = deframer.next_frame().unwrap() {
+                challenges.push(Envelope::from_bytes(&frame).unwrap());
+            }
+        }
+
+        let (mut burst, mut rest) = (Vec::new(), Vec::new());
+        for challenge in challenges {
+            let id = DeviceId(challenge.device_id);
+            let evidence = devices
+                .get_mut(&id)
+                .unwrap()
+                .attest_bytes(&challenge.payload)
+                .unwrap();
+            let honest = Envelope::wrap(id.0, evidence).to_bytes();
+            if id == forged {
+                let mut corrupt = honest.clone();
+                corrupt[ENVELOPE_OVERHEAD as usize] ^= 0x01;
+                burst.extend(frame_stream(&corrupt));
+                burst.extend(frame_stream(&honest));
+            } else {
+                rest.extend(frame_stream(&honest));
+            }
+        }
+        burst.extend(rest);
+        stream.write_all(&burst).unwrap();
+        while stream.read(&mut buf).is_ok_and(|n| n > 0) {}
+    })
+}
+
+/// Duplicate evidence over a real socket, concluded inline on the
+/// owning reactor: a corrupted response and then the honest one for
+/// the same device arrive back to back in one write. The first frame in
+/// stream order owns the session, so the device is `Rejected` and the
+/// repeat settles as `NoSession`; every other device verifies, and the
+/// report is identical at 1 and 2 reactors.
+#[test]
+fn duplicate_evidence_resolves_in_stream_order() {
+    let ids: Vec<DeviceId> = (1..=8).map(DeviceId).collect();
+    let forged = ids[0];
+    let mut reports = Vec::new();
+    for reactors in [1usize, 2] {
+        let fleet = fleet_of(&ids, 4);
+        // The repeat reaches its owner's engine before the engine can
+        // settle only if the owner still awaits a later frame.
+        let owner = fleet.reactor_of(forged, reactors);
+        assert!(
+            ids.iter()
+                .filter(|&&id| fleet.reactor_of(id, reactors) == owner)
+                .count()
+                >= 2,
+            "the forged device's owner must own another device"
+        );
+        let mut runtime: FleetRuntime<NoListener<UnixStream>> =
+            FleetRuntime::detached(Arc::clone(&fleet), reactors, 1);
+        let (rt_end, prover_end) = UnixStream::pair().unwrap();
+        runtime.adopt(rt_end).unwrap();
+        let host = host_duplicate_evidence(prover_end, ids.clone(), forged);
+
+        let report = runtime.run_round(&ids, BUDGET).unwrap();
+        let forged_outcomes: Vec<_> = report
+            .outcomes
+            .iter()
+            .filter(|o| o.device == Some(forged))
+            .map(|o| &o.result)
+            .collect();
+        assert_eq!(forged_outcomes.len(), 2, "{reactors} reactors: {report}");
+        assert!(
+            matches!(forged_outcomes[0], Err(FleetError::Rejected(_))),
+            "{reactors} reactors: the first frame owns the session: {:?}",
+            forged_outcomes[0]
+        );
+        assert_eq!(forged_outcomes[1], &Err(FleetError::NoSession(forged)));
+        assert_eq!(report.verified(), ids.len() - 1, "{reactors} reactors");
+        for &id in &ids[1..] {
+            assert!(matches!(report.of(id), Some(Ok(_))), "{id}: {report}");
+        }
+        assert_eq!(fleet.in_flight(), 0, "sessions leaked");
+
+        drop(runtime);
+        host.join().unwrap();
+        reports.push(report);
+    }
+    assert_eq!(reports[0], reports[1], "reports diverged across reactors");
 }
 
 /// Submitting an unknown device issues nothing, and a ticket that was
